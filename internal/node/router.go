@@ -1,6 +1,8 @@
 package node
 
 import (
+	"slices"
+
 	"repro/internal/asm"
 	"repro/internal/site"
 	"repro/internal/vm"
@@ -32,9 +34,12 @@ func (n *Node) RouteMsg(from *site.Site, op wire.OpRef, ref vm.NetRef, label str
 	m := wire.Msg{Op: op, To: ref, Label: label, Args: args}
 	n.tel.Ship(trace, wire.FMsg, op, ref.Node)
 	if ref.Node == n.cfg.ID {
-		d := site.Delivery{Op: op, Trace: trace, Deadline: deadline, Msg: &site.MsgDelivery{Heap: ref.Heap, Label: label, Args: args}}
+		// The delivery outlives the call and args does not: copy.
+		m.Args = slices.Clone(args)
+		d := site.Delivery{Op: op, Trace: trace, Deadline: deadline, Msg: &site.MsgDelivery{Heap: ref.Heap, Label: label, Args: m.Args}}
 		return n.toLocal(ref.Site, d, wire.FMsg, m.Encode, true)
 	}
+	// enqueue encodes the payload before it returns.
 	return n.coal.enqueue(ref.Node, wire.FMsg, trace, deadline, m.AppendPayload)
 }
 

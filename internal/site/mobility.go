@@ -3,6 +3,7 @@ package site
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -93,7 +94,7 @@ func (s *Site) egressVal(v vm.Value, ctx *asm.Relocation) (wire.Value, error) {
 			return wire.Value{}, fmt.Errorf("site %s: class group %d not in shipped unit", s.cfg.Name, gi)
 		}
 		nfree := s.prog.Groups[gi].NFree
-		captured, err := s.egressVals(v.Frame[:nfree], ctx)
+		captured, err := s.egressVals(nil, v.Frame[:nfree], ctx)
 		if err != nil {
 			return wire.Value{}, err
 		}
@@ -103,16 +104,19 @@ func (s *Site) egressVal(v vm.Value, ctx *asm.Relocation) (wire.Value, error) {
 	}
 }
 
-func (s *Site) egressVals(vs []vm.Value, ctx *asm.Relocation) ([]wire.Value, error) {
-	out := make([]wire.Value, len(vs))
-	for i, v := range vs {
+// egressVals σ-translates vs, appending to dst: nil for a slice of the
+// caller's own, a scratch buffer when the result is consumed before the
+// next translation.
+func (s *Site) egressVals(dst []wire.Value, vs []vm.Value, ctx *asm.Relocation) ([]wire.Value, error) {
+	dst = slices.Grow(dst, len(vs))
+	for _, v := range vs {
 		w, err := s.egressVal(v, ctx)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = w
+		dst = append(dst, w)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // egressConst σ-translates a program constant during extraction.
@@ -183,7 +187,7 @@ func (s *Site) ingressVal(w wire.Value, linked *vm.Linked) (vm.Value, error) {
 		if len(w.Captured) != g.NFree {
 			return vm.Value{}, fmt.Errorf("site %s: incoming class has %d captured values, group needs %d", s.cfg.Name, len(w.Captured), g.NFree)
 		}
-		captured, err := s.ingressVals(w.Captured, linked)
+		captured, err := s.ingressVals(nil, w.Captured, linked)
 		if err != nil {
 			return vm.Value{}, err
 		}
@@ -194,16 +198,17 @@ func (s *Site) ingressVal(w wire.Value, linked *vm.Linked) (vm.Value, error) {
 	}
 }
 
-func (s *Site) ingressVals(ws []wire.Value, linked *vm.Linked) ([]vm.Value, error) {
-	out := make([]vm.Value, len(ws))
-	for i, w := range ws {
+// ingressVals σ-translates ws, appending to dst (see egressVals).
+func (s *Site) ingressVals(dst []vm.Value, ws []wire.Value, linked *vm.Linked) ([]vm.Value, error) {
+	dst = slices.Grow(dst, len(ws))
+	for _, w := range ws {
 		v, err := s.ingressVal(w, linked)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // linkIncoming verifies and links a mobile code unit, translating its
@@ -292,14 +297,20 @@ func (s *Site) CurrentDeadline() uint64 {
 }
 
 // RemoteSend implements rule SHIPM: package the message with
-// σ-translated arguments and hand it to the outgoing queue.
+// σ-translated arguments and hand it to the outgoing queue. args is a
+// view of the sender's operand stack; its translation lives in the
+// site's scratch buffer only for the duration of RouteMsg, which
+// encodes it (or, for a same-node destination, copies it).
 func (s *Site) RemoteSend(ref vm.NetRef, label string, args []vm.Value) error {
-	ws, err := s.egressVals(args, nil)
+	ws, err := s.egressVals(s.egress[:0], args, nil)
 	if err != nil {
 		return err
 	}
 	s.countSent(ref.Node)
-	return s.cfg.Router.RouteMsg(s, s.newOp(), ref, label, ws)
+	err = s.cfg.Router.RouteMsg(s, s.newOp(), ref, label, ws)
+	clear(ws)
+	s.egress = ws
+	return err
 }
 
 // RemoteObj implements rule SHIPO: extract the object's code
@@ -319,7 +330,7 @@ func (s *Site) RemoteObj(ref vm.NetRef, table int, frame []vm.Value) error {
 	if err != nil {
 		return err
 	}
-	wf, err := s.egressVals(frame, reloc)
+	wf, err := s.egressVals(nil, frame, reloc)
 	if err != nil {
 		return err
 	}
@@ -357,6 +368,9 @@ func (s *Site) RemoteInst(class vm.NetClass, args []vm.Value) error {
 			return s.m.Instantiate(v, args)
 		}
 	}
+	// The instantiation parks until the code arrives: args is a view of
+	// the caller's operand stack, so the parked call keeps a copy.
+	args = slices.Clone(args)
 	// Coalesce with an in-flight fetch of the same class.
 	if id, ok := s.fetchByClass[class]; ok {
 		p := s.pendingFetch[id]
@@ -404,7 +418,7 @@ func (s *Site) serveFetch(f *FetchDelivery) error {
 	if err != nil {
 		return fail(err.Error())
 	}
-	wc, err := s.egressVals(captured, reloc)
+	wc, err := s.egressVals(nil, captured, reloc)
 	if err != nil {
 		return fail(err.Error())
 	}
@@ -459,7 +473,7 @@ func (s *Site) handleFetchRep(rep *FetchRepDelivery) error {
 	if rep.Index < 0 || rep.Index >= len(g.Classes) {
 		return fmt.Errorf("site %s: fetched class index %d out of range", s.cfg.Name, rep.Index)
 	}
-	captured, err := s.ingressVals(rep.Captured, linked)
+	captured, err := s.ingressVals(nil, rep.Captured, linked)
 	if err != nil {
 		return err
 	}

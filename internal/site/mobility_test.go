@@ -2,6 +2,7 @@ package site_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,7 @@ func (l *loopRouter) add(s *site.Site) { l.sites[s.ID()] = s }
 
 func (l *loopRouter) RouteMsg(from *site.Site, op wire.OpRef, ref vm.NetRef, label string, args []site.WireVal) error {
 	dst := l.sites[ref.Site]
+	args = slices.Clone(args) // valid only during the call
 	return dst.Deliver(site.Delivery{Op: op, Msg: &site.MsgDelivery{Heap: ref.Heap, Label: label, Args: args}})
 }
 func (l *loopRouter) RouteObj(from *site.Site, op wire.OpRef, ref vm.NetRef, unit *asm.Unit, table int, frame []site.WireVal) error {

@@ -457,8 +457,8 @@ func decodeResolvedValue(r *wire.Reader) (vm.Value, error) {
 func DecodePayload(t wire.FrameType, srcNode uint32, payload []byte) (Delivery, uint32, error) {
 	switch t {
 	case wire.FMsg:
-		m, err := wire.DecodeMsg(payload)
-		if err != nil {
+		var m wire.Msg
+		if err := wire.DecodeMsgInto(&m, payload); err != nil {
 			return Delivery{}, 0, err
 		}
 		return Delivery{Src: srcNode, Op: m.Op, Msg: &MsgDelivery{Heap: m.To.Heap, Label: m.Label, Args: m.Args}}, m.To.Site, nil

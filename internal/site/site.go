@@ -161,7 +161,8 @@ func (d *Delivery) frameType() wire.FrameType {
 // node stamps it on the wire payload, and receivers use it for
 // crash-recovery deduplication.
 type Router interface {
-	// RouteMsg ships a message to the channel ref.
+	// RouteMsg ships a message to the channel ref. args is valid only
+	// during the call: a router that keeps the arguments copies them.
 	RouteMsg(from *Site, op wire.OpRef, ref vm.NetRef, label string, args []WireVal) error
 	// RouteObj ships a migrated object.
 	RouteObj(from *Site, op wire.OpRef, ref vm.NetRef, unit *asm.Unit, table int, frame []WireVal) error
@@ -311,6 +312,11 @@ type Site struct {
 	fetchByClass map[vm.NetClass]uint64 // coalesce concurrent fetches
 	fetchCache   map[vm.NetClass]vm.Value
 	fetchRng     uint64 // jitter state for overload-pushback re-fetch backoff
+
+	// Scratch buffers for the σ-translation of message arguments, each
+	// consumed within the call that fills it (site goroutine only).
+	egress  []wire.Value
+	ingress []vm.Value
 
 	// curDeadline is the deadline of the delivery currently being
 	// applied (site goroutine only): operations the apply routes out
@@ -1024,11 +1030,16 @@ func (s *Site) apply(d Delivery) error {
 		if !ok {
 			return fmt.Errorf("site %s: message for unknown heap id %d", s.cfg.Name, d.Msg.Heap)
 		}
-		args, err := s.ingressVals(d.Msg.Args, nil)
+		// The machine copies the arguments into the method's frame (or
+		// the channel's queue), so they pass through the scratch buffer.
+		args, err := s.ingressVals(s.ingress[:0], d.Msg.Args, nil)
 		if err != nil {
 			return err
 		}
-		return s.m.DeliverMsg(local, s.prog.LabelIndex(d.Msg.Label), args)
+		err = s.m.DeliverMsg(local, s.prog.LabelIndex(d.Msg.Label), args)
+		clear(args)
+		s.ingress = args
+		return err
 
 	case d.Obj != nil:
 		local, ok := s.lookupExport(d.Obj.Heap)
@@ -1039,7 +1050,7 @@ func (s *Site) apply(d Delivery) error {
 		if err != nil {
 			return err
 		}
-		frame, err := s.ingressVals(d.Obj.Frame, linked)
+		frame, err := s.ingressVals(nil, d.Obj.Frame, linked)
 		if err != nil {
 			return err
 		}

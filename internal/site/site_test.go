@@ -227,3 +227,88 @@ func TestSiteStopIsIdempotent(t *testing.T) {
 	s.Stop()
 	<-s.Done()
 }
+
+// rpcServer loads the one-integer call server into a site driven turn
+// by turn (no Run goroutine) and returns it with the heap id of p.
+func rpcServer(tb testing.TB) (*site.Site, uint32) {
+	tb.Helper()
+	ns := nameservice.NewCentral()
+	prog, err := node.CompileSubmission("server", `
+def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p])
+in export new p Serve[p]`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := site.New(site.Config{Name: "server", ID: 1, NodeID: 1, NS: ns, Router: &fakeRouter{}})
+	if err := s.Load(prog); err != nil {
+		tb.Fatal(err)
+	}
+	for s.Turn() == site.TurnMore {
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ref, _, err := ns.LookupName(ctx, "server", "p")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Stop(); s.Turn() })
+	return s, ref.Heap
+}
+
+// call builds the i-th one-integer call as a remote node delivers it.
+func call(heap uint32, i int) site.Delivery {
+	return site.Delivery{
+		Src: 2,
+		Op:  wire.OpRef{Site: 2, Epoch: 1, ID: uint64(i + 1)},
+		Msg: &site.MsgDelivery{Heap: heap, Label: "val", Args: []wire.Value{
+			{Kind: wire.WInt, I: int64(i)},
+			{Kind: wire.WNet, Net: vm.NetRef{Heap: 9, Site: 2, Node: 2}},
+		}},
+	}
+}
+
+// serve delivers d and turns the site until it is idle again.
+func serve(tb testing.TB, s *site.Site, d site.Delivery) {
+	if ok, err := s.TryDeliver(d); !ok || err != nil {
+		tb.Fatalf("delivery refused: %v %v", ok, err)
+	}
+	for s.Turn() == site.TurnMore {
+	}
+}
+
+// TestTurnAllocBudget pins the cost of serving one remote call:
+// ingress and the reply's egress go through the site's scratch
+// buffers, so what allocates is the machine — the frames of the method
+// body, of the thread its par-composition forks and of the Serve
+// instance, plus the server object queued back at p.
+func TestTurnAllocBudget(t *testing.T) {
+	s, heap := rpcServer(t)
+	const runs = 1000
+	calls := make([]site.Delivery, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range calls {
+		calls[i] = call(heap, i)
+	}
+	i := 0
+	testutil.CheckAllocs(t, "TryDeliver + Turn of a one-integer call", 4, runs, func() {
+		serve(t, s, calls[i])
+		i++
+	})
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Machine().Stats.RemoteSends; !testutil.Race && got != runs+1 {
+		t.Fatalf("%d replies sent, want %d", got, runs+1)
+	}
+}
+
+func BenchmarkTurnDelivery(b *testing.B) {
+	s, heap := rpcServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, s, call(heap, i))
+	}
+	if err := s.Err(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -3,6 +3,7 @@ package testutil
 
 import (
 	"sync"
+	"testing"
 	"time"
 )
 
@@ -45,4 +46,19 @@ func Eventually(cond func() bool, d time.Duration) bool {
 		time.Sleep(time.Millisecond)
 	}
 	return cond()
+}
+
+// CheckAllocs fails t when f allocates more than budget heap objects
+// per call (testing.AllocsPerRun over runs calls). The race detector
+// changes what allocates (sync.Pool drops items at random), so under
+// it the budget is not checked.
+func CheckAllocs(t *testing.T, what string, budget float64, runs int, f func()) {
+	t.Helper()
+	if Race {
+		f()
+		return
+	}
+	if got := testing.AllocsPerRun(runs, f); got > budget {
+		t.Errorf("%s: %v allocations per run, budget %v", what, got, budget)
+	}
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/asm"
@@ -51,8 +52,46 @@ type Stats struct {
 // channel is a heap entry: queued messages or queued objects (never
 // both non-empty).
 type channel struct {
-	msgs []qMsg
-	objs []qObj
+	msgs fifo[qMsg]
+	objs fifo[qObj]
+}
+
+// fifo is the queue behind the run-queue and the channel queues. It
+// pops by head index rather than by re-slicing: a popped slot is zeroed
+// so the backing array retains nothing the queue no longer holds, and a
+// drained queue starts over at the front of the same array, so a queue
+// that keeps filling and draining stops allocating.
+type fifo[T any] struct {
+	q    []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.q) - f.head }
+
+// live returns the queued items, oldest first.
+func (f *fifo[T]) live() []T { return f.q[f.head:] }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.q) == cap(f.q) && f.head > 0 && 2*f.head >= len(f.q) {
+		// Full, and at least half of the array is popped slots: slide
+		// the live items down instead of growing (a queue that never
+		// drains must not grow with the traffic through it).
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, v)
+}
+
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.q[f.head]
+	f.q[f.head] = zero
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return v
 }
 
 type qMsg struct {
@@ -72,7 +111,9 @@ type qObj struct {
 }
 
 // Thread is a runnable activation: a block, a program counter, the
-// frame of locals and a small operand stack.
+// frame of locals and a small operand stack. A thread runs on the
+// machine's operand stack; stack holds values only for a thread that
+// parked mid-block (see Machine.OnPending) and has not resumed yet.
 type Thread struct {
 	block int32
 	pc    int32
@@ -111,7 +152,11 @@ type Machine struct {
 	Stats Stats
 
 	heap []channel
-	runq []Thread
+	runq fifo[Thread]
+	// stack is the operand stack every thread runs on. Threads run to
+	// completion one at a time, so one stack serves them all; it grows
+	// to the deepest thread seen and is never shared across a park.
+	stack []Value
 	// localExports backs export instructions when Ext is nil.
 	localExports map[string]Value
 
@@ -121,18 +166,22 @@ type Machine struct {
 
 	// OnPending receives threads that touched a KPending constant
 	// (an import whose name-service resolution is still in flight).
-	// The owner re-queues them with Requeue once the constant is
-	// resolved. A nil OnPending makes pending constants an error.
+	// The thread carries a private copy of its live operand stack, so
+	// the threads that run while it is parked cannot disturb it. The
+	// owner re-queues it with Requeue once the constant is resolved. A
+	// nil OnPending makes pending constants an error.
 	OnPending func(t Thread, constIdx int)
 
 	// Trace context (telemetry fabric). ambient is the mobility trace
 	// of whatever is executing right now: the running thread's trace
 	// while a thread runs, or the delivery's trace while the site
-	// applies one. cur points at the running thread so a trace
-	// allocated mid-run (first egress of an untraced thread) sticks to
-	// it. Both are touched only on the machine's goroutine.
+	// applies one. cur is the running thread while running is set —
+	// held by value, so activating a thread allocates nothing — and a
+	// trace allocated mid-run (first egress of an untraced thread)
+	// sticks to it. All are touched only on the machine's goroutine.
 	ambient uint64
-	cur     *Thread
+	cur     Thread
+	running bool
 }
 
 // NewMachine creates a machine over a program area.
@@ -156,20 +205,23 @@ func (m *Machine) HeapSize() int { return len(m.heap) }
 // LocalExports returns the registry used when no External is set.
 func (m *Machine) LocalExports() map[string]Value { return m.localExports }
 
-// Spawn enqueues a new thread for block with the given frame prefix
-// (captures followed by parameters); the frame is grown to the block's
-// declared size.
+// Spawn enqueues a new thread for block. Its frame is built at the
+// block's declared size from the given prefix (captures followed by
+// parameters); prefix is only read.
 func (m *Machine) Spawn(block int, prefix []Value) {
+	m.spawn(block, prefix, nil)
+}
+
+// spawn enqueues a thread for block whose frame starts with free
+// followed by params. Both may be views of the operand stack or of
+// another frame: they are copied into the new frame, never kept.
+func (m *Machine) spawn(block int, free, params []Value) {
 	b := &m.Prog.Blocks[block]
-	frame := prefix
-	if size := b.FrameSize(); cap(frame) >= size {
-		frame = frame[:size]
-	} else {
-		frame = make([]Value, size)
-		copy(frame, prefix)
-	}
+	frame := make([]Value, b.FrameSize())
+	copy(frame, free)
+	copy(frame[b.NFree:], params)
 	m.Stats.Threads++
-	m.runq = append(m.runq, Thread{block: int32(block), frame: frame, trace: m.ambient})
+	m.runq.push(Thread{block: int32(block), frame: frame, trace: m.ambient})
 }
 
 // Ambient returns the current trace context (0 = untraced).
@@ -186,40 +238,37 @@ func (m *Machine) SetAmbient(trace uint64) { m.ambient = trace }
 // untraced thread becomes the root of a new trace tree, and the
 // thread's later operations join it.
 func (m *Machine) AdoptTrace(trace uint64) {
-	if m.cur != nil {
+	if m.running {
 		m.cur.trace = trace
 	}
 	m.ambient = trace
 }
 
 // Requeue returns a parked thread to the run-queue.
-func (m *Machine) Requeue(t Thread) { m.runq = append(m.runq, t) }
+func (m *Machine) Requeue(t Thread) { m.runq.push(t) }
 
 // QueueLen reports the number of runnable threads.
-func (m *Machine) QueueLen() int { return len(m.runq) }
+func (m *Machine) QueueLen() int { return m.runq.len() }
 
 // Idle reports whether the machine has no runnable work.
-func (m *Machine) Idle() bool { return len(m.runq) == 0 }
+func (m *Machine) Idle() bool { return m.runq.len() == 0 }
 
 // Step pops one thread and runs it to completion (thread bodies are a
 // few tens of instructions — the paper's granularity). It reports
 // whether any work was done.
 func (m *Machine) Step() (bool, error) {
-	if len(m.runq) == 0 {
+	if m.runq.len() == 0 {
 		return false, nil
 	}
-	t := m.runq[0]
-	m.runq = m.runq[1:]
+	m.cur = m.runq.pop()
 	m.Stats.ContextSwitches++
-	m.ambient = t.trace
-	m.cur = &t
-	err := m.run(&t)
-	m.cur = nil
+	m.ambient = m.cur.trace
+	m.running = true
+	err := m.run()
+	m.running = false
+	m.cur = Thread{}
 	m.ambient = 0
-	if err != nil {
-		return true, err
-	}
-	return true, nil
+	return true, err
 }
 
 // RunSlice executes up to n threads; it returns the number executed.
@@ -253,15 +302,15 @@ func (m *Machine) RunToQuiescence() error {
 
 // DeliverMsg injects a message arriving from the network (or from a
 // local producer) at a local channel: the second, rendez-vous half of
-// a remote communication.
+// a remote communication. args is only read.
 func (m *Machine) DeliverMsg(ch int, label int, args []Value) error {
-	return m.trmsg(Chan(ch), label, args, nil)
+	return m.trmsg(Chan(ch), label, args)
 }
 
 // DeliverObj injects a migrated object (already linked: table indexes
-// the program area) at a local channel.
+// the program area) at a local channel. frame is only read.
 func (m *Machine) DeliverObj(ch int, table int, frame []Value) error {
-	return m.trobj(Chan(ch), table, frame, nil)
+	return m.trobj(Chan(ch), table, frame)
 }
 
 // MakeGroupFrame builds the shared frame of a def group: captured
@@ -277,7 +326,8 @@ func (m *Machine) MakeGroupFrame(group int, captured []Value) []Value {
 	return frame
 }
 
-// Instantiate runs a class closure with the given arguments.
+// Instantiate runs a class closure with the given arguments. args is
+// only read here; an External that parks the instantiation copies it.
 func (m *Machine) Instantiate(class Value, args []Value) error {
 	switch class.Kind {
 	case KClass:
@@ -287,12 +337,8 @@ func (m *Machine) Instantiate(class Value, args []Value) error {
 		if len(args) != info.NParams {
 			return fmt.Errorf("class %s expects %d arguments, got %d", info.Name, info.NParams, len(args))
 		}
-		b := &m.Prog.Blocks[info.Block]
-		frame := make([]Value, b.FrameSize())
-		copy(frame, class.Frame)
-		copy(frame[b.NFree:], args)
 		m.Stats.Instantiations++
-		m.Spawn(info.Block, frame)
+		m.spawn(info.Block, class.Frame, args)
 		return nil
 	case KNetClass:
 		m.Stats.RemoteInsts++
@@ -305,111 +351,112 @@ func (m *Machine) Instantiate(class Value, args []Value) error {
 	}
 }
 
-// run executes one thread until Halt.
-func (m *Machine) run(t *Thread) error {
+// errorf builds a machine error: located at the running thread's
+// current instruction, or a plain error for work injected between
+// threads (DeliverMsg, DeliverObj).
+func (m *Machine) errorf(format string, args ...any) error {
+	if !m.running {
+		return fmt.Errorf(format, args...)
+	}
+	t := &m.cur
+	return &Error{Block: int(t.block), PC: int(t.pc) - 1, Name: m.Prog.Blocks[t.block].Name, Msg: fmt.Sprintf(format, args...)}
+}
+
+// run executes the current thread until Halt, a park, or an error.
+//
+// The communication instructions hand their operands to trmsg, trobj,
+// Instantiate and spawn as views of the operand stack, popped only once
+// the call returns. The contract everywhere below (External included):
+// a callee reads a view during the call and must copy what it retains.
+func (m *Machine) run() error {
+	t := &m.cur
 	prog := m.Prog
-	blk := &prog.Blocks[t.block]
-	code := blk.Code
+	code := prog.Blocks[t.block].Code
 	n0 := m.Stats.Instructions
-	fail := func(format string, args ...any) error {
-		return &Error{Block: int(t.block), PC: int(t.pc) - 1, Name: blk.Name, Msg: fmt.Sprintf(format, args...)}
-	}
-	pop := func() Value {
-		v := t.stack[len(t.stack)-1]
-		t.stack = t.stack[:len(t.stack)-1]
-		return v
-	}
-	popN := func(n int) []Value {
-		if n == 0 {
-			return nil
-		}
-		vals := make([]Value, n)
-		copy(vals, t.stack[len(t.stack)-n:])
-		t.stack = t.stack[:len(t.stack)-n]
-		return vals
-	}
-	for {
-		if int(t.pc) >= len(code) {
-			break // fell off the block: same as Halt
-		}
+	// A re-queued thread brings back the values it parked with.
+	stack := append(m.stack[:0], t.stack...)
+	t.stack = nil
+	var err error
+	finished := true
+loop:
+	for int(t.pc) < len(code) { // falling off the block is the same as Halt
 		in := code[t.pc]
 		t.pc++
 		m.Stats.Instructions++
+		top := len(stack) - 1
 		switch in.Op {
 		case asm.Nop:
 		case asm.Halt:
-			if m.InstrPerThread != nil {
-				m.InstrPerThread(int(m.Stats.Instructions - n0))
-			}
-			return nil
+			break loop
 		case asm.LdLoc:
-			t.stack = append(t.stack, t.frame[in.A])
+			stack = append(stack, t.frame[in.A])
 		case asm.StLoc:
-			t.frame[in.A] = pop()
+			t.frame[in.A] = stack[top]
+			stack = stack[:top]
 		case asm.Drop:
-			pop()
+			stack = stack[:top]
 		case asm.LdI:
-			t.stack = append(t.stack, Int(int64(in.A)))
+			stack = append(stack, Int(int64(in.A)))
 		case asm.LdIC:
-			t.stack = append(t.stack, Int(prog.Ints[in.A]))
+			stack = append(stack, Int(prog.Ints[in.A]))
 		case asm.LdF:
-			t.stack = append(t.stack, Float(prog.Floats[in.A]))
+			stack = append(stack, Float(prog.Floats[in.A]))
 		case asm.LdS:
-			t.stack = append(t.stack, Str(prog.Strings[in.A]))
+			stack = append(stack, Str(prog.Strings[in.A]))
 		case asm.LdB:
-			t.stack = append(t.stack, Bool(in.A != 0))
+			stack = append(stack, Bool(in.A != 0))
 		case asm.LdK:
 			v := prog.Consts[in.A]
 			if v.Kind == KPending {
 				if m.OnPending == nil {
-					return fail("unresolved import constant %d", in.A)
+					err = m.errorf("unresolved import constant %d", in.A)
+					break loop
 				}
 				// Rewind so the thread re-executes LdK when it is
-				// re-queued after resolution, then park it.
+				// re-queued after resolution, then park it with its own
+				// copy of the live stack: the machine's is about to be
+				// reused by the threads that run meanwhile.
 				t.pc--
 				m.Stats.Parks++
+				t.stack = slices.Clone(stack)
 				m.OnPending(*t, int(in.A))
-				return nil
+				finished = false
+				break loop
 			}
-			t.stack = append(t.stack, v)
+			stack = append(stack, v)
 		case asm.NewC:
-			t.stack = append(t.stack, Chan(m.NewChan()))
+			stack = append(stack, Chan(m.NewChan()))
 		case asm.Jmp:
 			t.pc = in.A
 		case asm.JmpF:
-			if !pop().Truth() {
+			if !stack[top].Truth() {
 				t.pc = in.A
 			}
+			stack = stack[:top]
 		case asm.Send:
-			args := popN(int(in.B))
-			target := pop()
-			if err := m.trmsg(target, int(in.A), args, fail); err != nil {
-				return err
-			}
+			args := len(stack) - int(in.B)
+			err = m.trmsg(stack[args-1], int(in.A), stack[args:])
+			stack = stack[:args-1]
 		case asm.Obj:
-			frame := popN(int(in.B))
-			target := pop()
-			if err := m.trobj(target, int(in.A), frame, fail); err != nil {
-				return err
-			}
+			frame := len(stack) - int(in.B)
+			err = m.trobj(stack[frame-1], int(in.A), stack[frame:])
+			stack = stack[:frame-1]
 		case asm.MkDef:
-			captured := popN(int(in.B))
-			frame := m.MakeGroupFrame(int(in.A), captured)
-			g := &prog.Groups[in.A]
-			for j := range g.Classes {
-				t.stack = append(t.stack, frame[g.NFree+j])
-			}
+			captured := len(stack) - int(in.B)
+			frame := m.MakeGroupFrame(int(in.A), stack[captured:])
+			stack = append(stack[:captured], frame[prog.Groups[in.A].NFree:]...)
 		case asm.InstV:
-			args := popN(int(in.A))
-			class := pop()
-			if err := m.Instantiate(class, args); err != nil {
-				return fail("%s", err)
+			args := len(stack) - int(in.A)
+			if ierr := m.Instantiate(stack[args-1], stack[args:]); ierr != nil {
+				err = m.errorf("%s", ierr)
 			}
+			stack = stack[:args-1]
 		case asm.Spawn:
-			captured := popN(int(in.B))
-			m.Spawn(int(in.A), captured)
+			captured := len(stack) - int(in.B)
+			m.spawn(int(in.A), stack[captured:], nil)
+			stack = stack[:captured]
 		case asm.Print, asm.Println:
-			args := popN(int(in.A))
+			args := stack[len(stack)-int(in.A):]
 			parts := make([]string, len(args))
 			for i, a := range args {
 				parts[i] = a.String()
@@ -419,156 +466,139 @@ func (m *Machine) run(t *Thread) error {
 			} else {
 				fmt.Fprint(m.Out, strings.Join(parts, " "))
 			}
+			stack = stack[:len(stack)-len(args)]
 		case asm.ExpName:
-			v := pop()
+			v := stack[top]
+			stack = stack[:top]
 			name := prog.Strings[in.A]
-			if m.Ext != nil {
-				if err := m.Ext.ExportName(name, v); err != nil {
-					return fail("export %s: %s", name, err)
-				}
-			} else {
+			if m.Ext == nil {
 				m.localExports[name] = v
+			} else if xerr := m.Ext.ExportName(name, v); xerr != nil {
+				err = m.errorf("export %s: %s", name, xerr)
 			}
 		case asm.ExpClass:
 			v := t.frame[in.B]
 			name := prog.Strings[in.A]
-			if m.Ext != nil {
-				if err := m.Ext.ExportClass(name, v); err != nil {
-					return fail("export class %s: %s", name, err)
-				}
-			} else {
+			if m.Ext == nil {
 				m.localExports[name] = v
+			} else if xerr := m.Ext.ExportClass(name, v); xerr != nil {
+				err = m.errorf("export class %s: %s", name, xerr)
 			}
 		case asm.LdImp:
-			return fail("unresolved import at runtime (unit not linked)")
+			err = m.errorf("unresolved import at runtime (unit not linked)")
 		case asm.Add, asm.Sub, asm.Mul, asm.Div, asm.Mod,
 			asm.And, asm.Or, asm.CmpEq, asm.CmpNe,
 			asm.CmpLt, asm.CmpLe, asm.CmpGt, asm.CmpGe:
-			r := pop()
-			l := pop()
-			v, err := binop(in.Op, l, r)
-			if err != nil {
-				return fail("%s", err)
+			v, berr := binop(in.Op, stack[top-1], stack[top])
+			if berr != nil {
+				err = m.errorf("%s", berr)
 			}
-			t.stack = append(t.stack, v)
+			stack[top-1] = v
+			stack = stack[:top]
 		case asm.Neg:
-			v := pop()
-			switch v.Kind {
+			switch v := stack[top]; v.Kind {
 			case KInt:
-				t.stack = append(t.stack, Int(-v.I))
+				stack[top] = Int(-v.I)
 			case KFloat:
-				t.stack = append(t.stack, Float(-v.F))
+				stack[top] = Float(-v.F)
 			default:
-				return fail("neg: not a number: %s", v)
+				err = m.errorf("neg: not a number: %s", v)
 			}
 		case asm.Not:
-			v := pop()
-			if v.Kind != KBool {
-				return fail("not: not a boolean: %s", v)
+			if v := stack[top]; v.Kind == KBool {
+				stack[top] = Bool(!v.Truth())
+			} else {
+				err = m.errorf("not: not a boolean: %s", v)
 			}
-			t.stack = append(t.stack, Bool(!v.Truth()))
 		default:
-			return fail("invalid opcode %s", in.Op)
+			err = m.errorf("invalid opcode %s", in.Op)
+		}
+		if err != nil {
+			break
 		}
 	}
-	if m.InstrPerThread != nil {
+	m.stack = stack[:0] // keep what the stack grew to
+	if err == nil && finished && m.InstrPerThread != nil {
 		m.InstrPerThread(int(m.Stats.Instructions - n0))
 	}
-	return nil
+	return err
 }
 
 // trmsg implements the paper's re-engineered trmsg instruction: local
 // reduction or queueing for a heap reference; shipping for a network
-// reference.
-func (m *Machine) trmsg(target Value, label int, args []Value, fail func(string, ...any) error) error {
-	wrap := func(format string, a ...any) error {
-		if fail != nil {
-			return fail(format, a...)
-		}
-		return fmt.Errorf(format, a...)
-	}
+// reference. args is a view.
+func (m *Machine) trmsg(target Value, label int, args []Value) error {
 	switch target.Kind {
 	case KChan:
 		ch := &m.heap[target.I]
-		if len(ch.objs) > 0 {
-			obj := ch.objs[0]
-			ch.objs = ch.objs[1:]
+		if ch.objs.len() > 0 {
+			obj := ch.objs.pop()
 			// The message is the communication's cause: its trace wins;
 			// an untraced message joins the waiting object's trace.
 			trace := m.ambient
 			if trace == 0 {
 				trace = obj.trace
 			}
-			return m.reduce(obj, label, args, trace, wrap)
+			return m.reduce(obj.table, obj.frame, label, args, trace)
 		}
-		ch.msgs = append(ch.msgs, qMsg{label: label, args: args, trace: m.ambient})
+		ch.msgs.push(qMsg{label: label, args: slices.Clone(args), trace: m.ambient})
 		m.Stats.MessagesQueued++
 		return nil
 	case KNet:
 		m.Stats.RemoteSends++
 		if m.Ext == nil {
-			return wrap("message to %s with no network attached", target.Net)
+			return m.errorf("message to %s with no network attached", target.Net)
 		}
 		return m.Ext.RemoteSend(target.Net, m.Prog.Labels[label], args)
 	default:
-		return wrap("message target is not a channel: %s", target)
+		return m.errorf("message target is not a channel: %s", target)
 	}
 }
 
-// trobj implements the paper's re-engineered trobj instruction.
-func (m *Machine) trobj(target Value, table int, frame []Value, fail func(string, ...any) error) error {
-	wrap := func(format string, a ...any) error {
-		if fail != nil {
-			return fail(format, a...)
-		}
-		return fmt.Errorf(format, a...)
-	}
+// trobj implements the paper's re-engineered trobj instruction. frame
+// is a view.
+func (m *Machine) trobj(target Value, table int, frame []Value) error {
 	switch target.Kind {
 	case KChan:
 		ch := &m.heap[target.I]
-		if len(ch.msgs) > 0 {
-			msg := ch.msgs[0]
-			ch.msgs = ch.msgs[1:]
+		if ch.msgs.len() > 0 {
+			msg := ch.msgs.pop()
 			trace := msg.trace
 			if trace == 0 {
 				trace = m.ambient
 			}
-			return m.reduce(qObj{table: table, frame: frame}, msg.label, msg.args, trace, wrap)
+			return m.reduce(table, frame, msg.label, msg.args, trace)
 		}
-		ch.objs = append(ch.objs, qObj{table: table, frame: frame, trace: m.ambient})
+		ch.objs.push(qObj{table: table, frame: slices.Clone(frame), trace: m.ambient})
 		m.Stats.ObjectsQueued++
 		return nil
 	case KNet:
 		m.Stats.RemoteObjs++
 		if m.Ext == nil {
-			return wrap("object migration to %s with no network attached", target.Net)
+			return m.errorf("object migration to %s with no network attached", target.Net)
 		}
 		return m.Ext.RemoteObj(target.Net, table, frame)
 	default:
-		return wrap("object target is not a channel: %s", target)
+		return m.errorf("object target is not a channel: %s", target)
 	}
 }
 
-// reduce performs one COMMUNICATION reduction: select the method and
-// enqueue its body. The body thread runs under trace — the causal
-// context of the message half of the rendez-vous.
-func (m *Machine) reduce(obj qObj, label int, args []Value, trace uint64, wrap func(string, ...any) error) error {
-	tbl := &m.Prog.Tables[obj.table]
-	block, ok := tbl.Lookup(label)
+// reduce performs one COMMUNICATION reduction: select the method of
+// the object (table, captured frame) and enqueue its body, whose frame
+// is built here from the two halves. The body thread runs under trace —
+// the causal context of the message half of the rendez-vous.
+func (m *Machine) reduce(table int, free []Value, label int, args []Value, trace uint64) error {
+	block, ok := m.Prog.Tables[table].Lookup(label)
 	if !ok {
-		return wrap("object does not understand label %q", m.Prog.Labels[label])
+		return m.errorf("object does not understand label %q", m.Prog.Labels[label])
 	}
-	b := &m.Prog.Blocks[block]
-	if len(args) != b.NParams {
-		return wrap("method %q expects %d arguments, got %d", m.Prog.Labels[label], b.NParams, len(args))
+	if np := m.Prog.Blocks[block].NParams; len(args) != np {
+		return m.errorf("method %q expects %d arguments, got %d", m.Prog.Labels[label], np, len(args))
 	}
-	frame := make([]Value, b.FrameSize())
-	copy(frame, obj.frame)
-	copy(frame[b.NFree:], args)
 	m.Stats.Communications++
 	saved := m.ambient
 	m.ambient = trace
-	m.Spawn(block, frame)
+	m.spawn(block, free, args)
 	m.ambient = saved
 	return nil
 }
@@ -576,7 +606,7 @@ func (m *Machine) reduce(obj qObj, label int, args []Value, trace uint64, wrap f
 // PendingAt reports the queue lengths at a channel (testing aid).
 func (m *Machine) PendingAt(ch int) (msgs, objs int) {
 	c := &m.heap[ch]
-	return len(c.msgs), len(c.objs)
+	return c.msgs.len(), c.objs.len()
 }
 
 func binop(op asm.Opcode, l, r Value) (Value, error) {

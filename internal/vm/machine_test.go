@@ -1,12 +1,16 @@
 package vm_test
 
 import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/compiler"
 	"repro/internal/syntax"
+	"repro/internal/testutil"
 	"repro/internal/vm"
 )
 
@@ -343,13 +347,26 @@ in inaction`
 
 func TestParkAndRequeue(t *testing.T) {
 	// A thread touching a pending constant parks; requeuing after
-	// resolution completes it.
+	// resolution completes it. It parks holding 7 on its operand stack,
+	// and the noise threads that run meanwhile push other values on the
+	// machine's stack: the parked thread must find its own 7 again.
 	u := &asm.Unit{Name: "park", Entry: 0,
 		Imports: []asm.ImportRef{{Site: "s", Name: "x"}},
 		Blocks: []asm.Block{{
 			Name: "entry",
 			Code: []asm.Instr{
+				{Op: asm.LdI, A: 7},
 				{Op: asm.LdImp, A: 0},
+				{Op: asm.Add},
+				{Op: asm.Println, A: 1},
+				{Op: asm.Halt},
+			},
+		}, {
+			Name: "noise",
+			Code: []asm.Instr{
+				{Op: asm.LdI, A: 1000},
+				{Op: asm.LdI, A: 2000},
+				{Op: asm.Add},
 				{Op: asm.Println, A: 1},
 				{Op: asm.Halt},
 			},
@@ -380,15 +397,57 @@ func TestParkAndRequeue(t *testing.T) {
 	if out.String() != "" {
 		t.Fatalf("output before resolution: %q", out.String())
 	}
-	prog.Consts[parkedConst] = vm.Int(99)
-	m.Requeue(parked[0])
+	for i := 0; i < 3; i++ {
+		m.Spawn(linked.Reloc.Blocks[1], nil)
+	}
 	if err := m.RunToQuiescence(); err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != "99\n" {
-		t.Fatalf("out = %q", out.String())
+	prog.Consts[parkedConst] = vm.Int(99)
+	m.Requeue(parked[0])
+
+	// A snapshot taken with the resumed thread queued carries its stack,
+	// in the encoding the format has always had (golden bytes produced
+	// by the pre-shared-stack machine running this very test).
+	w := vm.NewSnapWriter()
+	m.EncodeSnapshot(w)
+	snap := w.Finish()
+	if got := hex.EncodeToString(snap); got != parkedSnapshotHex {
+		t.Errorf("snapshot encoding changed:\n got %s\nwant %s", got, parkedSnapshotHex)
+	}
+	r, err := vm.NewSnapReader(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out2 strings.Builder
+	m2 := vm.NewMachine(vm.NewProgram(), &out2, nil)
+	if err := m2.DecodeSnapshot(r); err != nil {
+		t.Fatal(err)
+	}
+	w2 := vm.NewSnapWriter()
+	m2.EncodeSnapshot(w2)
+	if !bytes.Equal(w2.Finish(), snap) {
+		t.Error("snapshot does not survive a decode/encode round trip")
+	}
+
+	const want = "3000\n3000\n3000\n106\n"
+	if err := m.RunToQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want {
+		t.Fatalf("out = %q, want %q", out.String(), want)
+	}
+	if err := m2.RunToQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	if out2.String() != "106\n" {
+		t.Fatalf("restored machine: out = %q, want %q", out2.String(), "106\n")
 	}
 }
+
+// parkedSnapshotHex is TestParkAndRequeue's snapshot as the parent of
+// the shared-operand-stack change encoded it.
+const parkedSnapshotHex = "000205656e74727900000005040e002500000a0000210200260000056e6f6973650000000504d00f0004a01f000a000021020026000000000100c6010000000002000001110404000000000000000001000100020001000e00"
 
 func TestPendingAtQueues(t *testing.T) {
 	prog := vm.NewProgram()
@@ -433,5 +492,90 @@ in (Spin[0] | println("starved?"))`
 	}
 	if out.String() != "starved?\n" {
 		t.Fatalf("independent thread starved by diverging loop (out=%q)", out.String())
+	}
+}
+
+// pingPong returns a machine about to run the same-site ping-pong for
+// the given number of rounds. A round is 4 reductions (a COMM at p and
+// at the reply channel, an INST of Serve and of Call) over 6 thread
+// activations (the two par-compositions fork one more each).
+func pingPong(tb testing.TB, rounds int) *vm.Machine {
+	tb.Helper()
+	src := fmt.Sprintf(`
+def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p])
+and Call(p, n) = if n == 0 then inaction else let y = p![n] in Call[p, n - 1]
+in new p (Serve[p] | Call[p, %d])`, rounds)
+	unit, err := compiler.Compile(syntax.MustParse(src), "pingpong")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog := vm.NewProgram()
+	linked, err := prog.Link(unit, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := vm.NewMachine(prog, nil, nil)
+	m.Spawn(linked.Entry, nil)
+	return m
+}
+
+// TestAllocBudget pins what the machine allocates, so that a change
+// which makes activation or reduction allocate more fails here rather
+// than in the next benchmark run.
+func TestAllocBudget(t *testing.T) {
+	// Activation: taking a thread off the run-queue, running its block
+	// on the machine's operand stack and retiring it allocates nothing.
+	u := &asm.Unit{Name: "arith", Entry: 0, Blocks: []asm.Block{{
+		Name: "entry",
+		Code: []asm.Instr{
+			{Op: asm.LdI, A: 6},
+			{Op: asm.LdI, A: 7},
+			{Op: asm.Mul},
+			{Op: asm.Drop},
+			{Op: asm.Halt},
+		},
+	}}}
+	const runs = 1000
+	m, linked := buildMachine(t, u, new(strings.Builder))
+	for i := 0; i < runs+2; i++ { // AllocsPerRun adds a warm-up call
+		m.Spawn(linked.Entry, nil)
+	}
+	if _, err := m.Step(); err != nil { // grows the operand stack once
+		t.Fatal(err)
+	}
+	testutil.CheckAllocs(t, "thread activation", 0, runs, func() {
+		if ok, err := m.Step(); !ok || err != nil {
+			t.Fatalf("step: %v %v", ok, err)
+		}
+	})
+
+	// Reduction: a ping-pong round allocates the six threads' frames,
+	// the two halves that wait in a channel queue (the message at p or
+	// the server object, and the caller's continuation object), and the
+	// fresh reply channel's queue; the heap of channels grows amortised.
+	m = pingPong(t, 1<<30)
+	if _, err := m.RunSlice(6 * 64); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Stats
+	testutil.CheckAllocs(t, "ping-pong round", 9, runs, func() {
+		if n, err := m.RunSlice(6); n != 6 || err != nil {
+			t.Fatalf("round: ran %d threads: %v", n, err)
+		}
+	})
+	if !testutil.Race {
+		red := (m.Stats.Communications - before.Communications) + (m.Stats.Instantiations - before.Instantiations)
+		if want := uint64(4 * (runs + 1)); red != want {
+			t.Fatalf("%d reductions in %d rounds, want %d", red, runs+1, want)
+		}
+	}
+}
+
+func BenchmarkMachinePingPong(b *testing.B) {
+	b.ReportAllocs()
+	m := pingPong(b, b.N)
+	b.ResetTimer()
+	if err := m.RunToQuiescence(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -344,20 +344,20 @@ func (m *Machine) EncodeSnapshot(w *SnapWriter) {
 	w.U(uint64(len(m.heap)))
 	for i := range m.heap {
 		ch := &m.heap[i]
-		w.U(uint64(len(ch.msgs)))
-		for _, q := range ch.msgs {
+		w.U(uint64(ch.msgs.len()))
+		for _, q := range ch.msgs.live() {
 			w.V(int64(q.label))
 			w.Values(q.args)
 		}
-		w.U(uint64(len(ch.objs)))
-		for _, q := range ch.objs {
+		w.U(uint64(ch.objs.len()))
+		for _, q := range ch.objs.live() {
 			w.V(int64(q.table))
 			w.Values(q.frame)
 		}
 	}
 
-	w.U(uint64(len(m.runq)))
-	for _, t := range m.runq {
+	w.U(uint64(m.runq.len()))
+	for _, t := range m.runq.live() {
 		w.V(int64(t.block))
 		w.V(int64(t.pc))
 		w.Values(t.frame)
@@ -394,22 +394,22 @@ func (m *Machine) DecodeSnapshot(r *SnapReader) error {
 	for i := range m.heap {
 		ch := &m.heap[i]
 		if n := r.Count("msgs"); n > 0 {
-			ch.msgs = make([]qMsg, n)
-			for j := range ch.msgs {
-				ch.msgs[j] = qMsg{label: int(r.V()), args: r.ReadValues()}
+			ch.msgs.q = make([]qMsg, n)
+			for j := range ch.msgs.q {
+				ch.msgs.q[j] = qMsg{label: int(r.V()), args: r.ReadValues()}
 			}
 		}
 		if n := r.Count("objs"); n > 0 {
-			ch.objs = make([]qObj, n)
-			for j := range ch.objs {
-				ch.objs[j] = qObj{table: int(r.V()), frame: r.ReadValues()}
+			ch.objs.q = make([]qObj, n)
+			for j := range ch.objs.q {
+				ch.objs.q[j] = qObj{table: int(r.V()), frame: r.ReadValues()}
 			}
 		}
 	}
 
-	m.runq = m.runq[:0]
+	m.runq = fifo[Thread]{}
 	for i, n := 0, r.Count("runq"); i < n; i++ {
-		m.runq = append(m.runq, Thread{
+		m.runq.push(Thread{
 			block: int32(r.V()),
 			pc:    int32(r.V()),
 			frame: r.ReadValues(),

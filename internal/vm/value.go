@@ -1,8 +1,8 @@
 // Package vm implements the TyCO virtual machine of paper section 5
 // (Fig. 3): a heap of channels holding queued messages or objects, a
-// run-queue of fine-grained threads, per-thread frames and an operand
-// stack, and the communication instructions trmsg (Send), trobj (Obj)
-// and instof (InstV). The machine executes linked Programs built from
+// run-queue of fine-grained threads, per-thread frames and one operand
+// stack shared by the run-to-completion threads, and the communication
+// instructions trmsg (Send), trobj (Obj) and instof (InstV). The machine executes linked Programs built from
 // asm Units; dynamic linking is what receives mobile code.
 //
 // Distribution hooks: values may be network references ("Variables may

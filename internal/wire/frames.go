@@ -233,32 +233,34 @@ func (m *Msg) Encode() []byte {
 
 // DecodeMsg parses a message payload.
 func DecodeMsg(data []byte) (*Msg, error) {
-	r := NewReader(data)
-	op, _, err := decodeOpHdr(r)
-	if err != nil {
+	m := new(Msg)
+	if err := DecodeMsgInto(m, data); err != nil {
 		return nil, err
 	}
-	h, err := r.U()
-	if err != nil {
-		return nil, err
+	return m, nil
+}
+
+// DecodeMsgInto parses a message payload into m, which the receive
+// path keeps on its stack: the label and the argument list are the
+// only allocations.
+func DecodeMsgInto(m *Msg, data []byte) error {
+	r := Reader{data: data}
+	var err error
+	if m.Op, _, err = decodeOpHdr(&r); err != nil {
+		return err
 	}
-	s, err := r.U()
-	if err != nil {
-		return nil, err
+	var to [3]uint64
+	for i := range to {
+		if to[i], err = r.U(); err != nil {
+			return err
+		}
 	}
-	n, err := r.U()
-	if err != nil {
-		return nil, err
+	m.To = vm.NetRef{Heap: uint32(to[0]), Site: uint32(to[1]), Node: uint32(to[2])}
+	if m.Label, err = r.S(); err != nil {
+		return err
 	}
-	label, err := r.S()
-	if err != nil {
-		return nil, err
-	}
-	args, err := DecodeValues(r, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Msg{Op: op, To: vm.NetRef{Heap: uint32(h), Site: uint32(s), Node: uint32(n)}, Label: label, Args: args}, nil
+	m.Args, err = DecodeValues(&r, 0)
+	return err
 }
 
 // Obj is a migrating object: the byte-code unit containing its method

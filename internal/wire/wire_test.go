@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/testutil"
 	"repro/internal/vm"
 	"repro/internal/wire"
 )
@@ -221,5 +222,54 @@ func TestReaderPrimitives(t *testing.T) {
 	}
 	if _, err := r.Byte(); err == nil {
 		t.Fatal("read past end should error")
+	}
+}
+
+// callMsg is the request of a one-integer call: the argument and the
+// reply channel.
+func callMsg() *wire.Msg {
+	return &wire.Msg{
+		Op:    wire.OpRef{Site: 2, Epoch: 1, ID: 7},
+		To:    vm.NetRef{Heap: 1, Site: 1, Node: 1},
+		Label: "val",
+		Args: []wire.Value{
+			{Kind: wire.WInt, I: 123456},
+			{Kind: wire.WNet, Net: vm.NetRef{Heap: 9, Site: 2, Node: 2}},
+		},
+	}
+}
+
+// msgRoundTrip encodes m the way a producer does (pooled writer,
+// detached payload) and decodes it the way the receive path does.
+func msgRoundTrip(tb testing.TB, m *wire.Msg) wire.Msg {
+	w := wire.GetWriter()
+	m.AppendPayload(w)
+	payload := w.Detach()
+	wire.PutWriter(w)
+	var got wire.Msg
+	if err := wire.DecodeMsgInto(&got, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return got
+}
+
+// TestMsgAllocBudget pins the wire cost of a one-integer call: the
+// detached payload on the way out; the label and the argument list on
+// the way in.
+func TestMsgAllocBudget(t *testing.T) {
+	m := callMsg()
+	if got := msgRoundTrip(t, m); !reflect.DeepEqual(&got, m) {
+		t.Fatalf("round trip: got %+v, want %+v", got, *m)
+	}
+	testutil.CheckAllocs(t, "encode + decode of a one-integer call", 3, 1000, func() {
+		msgRoundTrip(t, m)
+	})
+}
+
+func BenchmarkMsgRoundTrip(b *testing.B) {
+	m := callMsg()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		msgRoundTrip(b, m)
 	}
 }
