@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/site"
 	"repro/internal/transport"
 )
 
@@ -29,13 +30,13 @@ func E10(o Options) (*Table, error) {
 	t := &Table{
 		ID:     "E10",
 		Title:  "crash recovery: journal hot-path overhead, recovery time vs checkpoint interval",
-		Header: []string{"scenario", "parameter", "chunks", "total", "resume", "journal", "chunks/s", "overhead"},
+		Header: []string{"scenario", "parameter", "chunks", "total", "resume", "journal", "checkpoint bytes", "chunks/s", "overhead"},
 		Notes: []string{
 			"workload: SETI pair (1 worker), every chunk a request/reply across the fabric",
 			"hot path rows: lossless link, journal knob off / in-memory / file-backed; accepted ops are logged before the ack; best of several runs; 4 worker sites share the node",
 			"recover rows: lossy link (5% drop — retransmit gaps are when the gated checkpoint actually runs); worker node crashed at 1/3 quota, failure detected, node restarted from file journals; 'resume' is restart to the first post-crash chunk (journal load + replay), 'total' includes the detection gap and the remaining work",
 			"ckpt=1 compacts at every stable idle point (shortest replay); ckpt=never leaves the whole run in the journal, so replay re-steps every pre-crash delivery",
-			"'journal' is the on-disk size of the victim node's journals at the moment of restart — the checkpoint interval's main lever",
+			"'journal' is the on-disk size of the victim node's journals at the moment of restart — the checkpoint interval's main lever; 'checkpoint bytes' is the part of it held in checkpoint records (applied op ids are kept as ranges, so it does not grow with the deliveries a checkpoint covers)",
 		},
 	}
 
@@ -77,7 +78,7 @@ func E10(o Options) (*Table, error) {
 			}
 			t.Rows = append(t.Rows, []string{
 				"hot path, " + link, "journal=" + mode, fmt.Sprintf("%d", hotChunks),
-				best.Round(time.Millisecond).String(), "-", "-", rate(hotChunks, best), overhead,
+				best.Round(time.Millisecond).String(), "-", "-", "-", rate(hotChunks, best), overhead,
 			})
 		}
 	}
@@ -88,7 +89,7 @@ func E10(o Options) (*Table, error) {
 		intervals = []int{1, 1 << 20}
 	}
 	for _, every := range intervals {
-		total, resume, jbytes, err := e10Recover(chunks, every)
+		total, resume, jbytes, ckptBytes, err := e10Recover(chunks, every)
 		if err != nil {
 			return nil, fmt.Errorf("E10 ckpt=%d: %w", every, err)
 		}
@@ -99,7 +100,7 @@ func E10(o Options) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			"crash + recover", param, fmt.Sprintf("%d", chunks),
 			total.Round(time.Millisecond).String(), resume.Round(100 * time.Microsecond).String(),
-			fmt.Sprintf("%.1fKiB", float64(jbytes)/1024), rate(chunks, total), "-",
+			fmt.Sprintf("%.1fKiB", float64(jbytes)/1024), fmt.Sprintf("%d", ckptBytes), rate(chunks, total), "-",
 		})
 	}
 	return t, nil
@@ -167,15 +168,15 @@ func e10Run(chunks int, link string, jf journal.Factory) (time.Duration, error) 
 // whole crash-inclusive run and the restart-to-first-fresh-chunk span
 // (journal load + replay + re-import, before any new work lands). It
 // also reports how many journal bytes the victim node left on disk.
-func e10Recover(chunks, ckptEvery int) (total, resume time.Duration, jbytes int64, err error) {
+func e10Recover(chunks, ckptEvery int) (total, resume time.Duration, jbytes, ckptBytes int64, err error) {
 	dir, err := os.MkdirTemp("", "e10-recover-")
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	defer os.RemoveAll(dir)
 	jf, err := journal.NewFileFactory(dir)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	detect := &core.DetectConfig{Period: 5 * time.Millisecond, SuspectAfter: 40 * time.Millisecond}
 	cl, err := core.NewCluster(core.ClusterConfig{
@@ -188,16 +189,16 @@ func e10Recover(chunks, ckptEvery int) (total, resume time.Duration, jbytes int6
 		Supervise:       true,
 	})
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	defer cl.Stop()
 	out := &e10Buf{}
 	start := time.Now()
 	if _, err := cl.Submit(0, "seti", e10Server, io.Discard); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	if _, err := cl.Submit(1, "worker0", e10Src(chunks), out); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	// Crash at a third of the quota, polling tightly: the batched fast
 	// path finishes a quick-mode quota in single-digit milliseconds, so
@@ -206,7 +207,7 @@ func e10Recover(chunks, ckptEvery int) (total, resume time.Duration, jbytes int6
 	deadline := time.Now().Add(time.Minute)
 	for out.lines() < crashAt {
 		if time.Now().After(deadline) {
-			return 0, 0, 0, fmt.Errorf("worker never reached crash quota (%d/%d)", out.lines(), crashAt)
+			return 0, 0, 0, 0, fmt.Errorf("worker never reached crash quota (%d/%d)", out.lines(), crashAt)
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -218,7 +219,7 @@ func e10Recover(chunks, ckptEvery int) (total, resume time.Duration, jbytes int6
 	// scope "n2") left behind; this is exactly what recovery reads.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	for _, e := range entries {
 		if !strings.HasPrefix(e.Name(), "n2") {
@@ -228,16 +229,40 @@ func e10Recover(chunks, ckptEvery int) (total, resume time.Duration, jbytes int6
 			jbytes += info.Size()
 		}
 	}
+	// The crashed node closed its journals, so they can be read here.
+	names, err := jf.List()
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	for _, name := range names {
+		if !strings.HasPrefix(name, "n2") {
+			continue
+		}
+		st, err := jf.Open(name)
+		if err != nil {
+			return 0, 0, 0, 0, err
+		}
+		recs, err := st.Records()
+		st.Close()
+		if err != nil {
+			return 0, 0, 0, 0, err
+		}
+		for _, rec := range recs {
+			if rec.Kind == site.RecCheckpoint {
+				ckptBytes += int64(len(rec.Data))
+			}
+		}
+	}
 	restart := time.Now()
 	if err := cl.Recover(1); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	// A fast run can still slip past the whole quota between the poll
 	// and the crash; then there is no post-crash chunk to wait for and
 	// "resume" degenerates to replay-to-termination.
 	for out.lines() <= before && before < chunks {
 		if time.Now().After(deadline) {
-			return 0, 0, 0, fmt.Errorf("recovered worker never resumed (stuck at %d chunks)", before)
+			return 0, 0, 0, 0, fmt.Errorf("recovered worker never resumed (stuck at %d chunks)", before)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -245,11 +270,11 @@ func e10Recover(chunks, ckptEvery int) (total, resume time.Duration, jbytes int6
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	if err := cl.Wait(ctx); err != nil {
-		return 0, 0, 0, fmt.Errorf("wait: %w (cluster: %v)", err, cl.Err())
+		return 0, 0, 0, 0, fmt.Errorf("wait: %w (cluster: %v)", err, cl.Err())
 	}
 	done := time.Now()
 	if got := out.lines(); got != chunks {
-		return 0, 0, 0, fmt.Errorf("recovered run printed %d chunk lines, want %d (duplicates or loss)", got, chunks)
+		return 0, 0, 0, 0, fmt.Errorf("recovered run printed %d chunk lines, want %d (duplicates or loss)", got, chunks)
 	}
-	return done.Sub(start), resume, jbytes, nil
+	return done.Sub(start), resume, jbytes, ckptBytes, nil
 }

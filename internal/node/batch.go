@@ -30,7 +30,9 @@ type BatchConfig struct {
 	// flusher drains — the same natural backpressure the pre-ring
 	// design applied by blocking the sending site on reliable-window
 	// space, so a site outrunning a congested peer cannot grow the
-	// ring without bound.
+	// ring without bound. It also bounds what a ring retains between
+	// bursts: two payload arenas of at most this size (plus one entry)
+	// each.
 	MaxQueueBytes int
 }
 
@@ -50,8 +52,9 @@ func (c BatchConfig) withDefaults() BatchConfig {
 // coalescer owns one outbound ring per destination node, each drained
 // by a dedicated flusher goroutine (DESIGN.md §15). Producers — site
 // turns running on any scheduler worker — encode their payload into a
-// pooled writer outside every lock, append the bytes to the peer's
-// ring, and return; only the flusher touches the BatchBuilder and the
+// pooled writer outside every lock, copy the bytes into the ring's
+// arena under the ring lock, and return; only the flusher touches the
+// BatchBuilder and the
 // transport, so site execution never contends with wire encoding and
 // only blocks on window backpressure indirectly, through the ring's
 // MaxQueueBytes cap — a producer outrunning a congested peer waits for
@@ -88,25 +91,48 @@ type coalescer struct {
 	pend atomic.Int64
 }
 
-// outMsg is one encoded envelope waiting in a peer's ring.
+// outMsg is one encoded envelope waiting in a peer's ring. Its payload
+// sits in the ring's arena, from the previous entry's end to end.
 type outMsg struct {
-	t        wire.FrameType
 	trace    uint64
 	deadline uint64 // absolute expiry, unix micros (0 = none)
-	flush    bool   // ship the frame as soon as this entry is aboard
-	payload  []byte
+	end      int    // arena offset one past the payload
+	t        wire.FrameType
+	flush    bool // ship the frame as soon as this entry is aboard
+}
+
+// outBuf is one half of a ring's double buffer: the queued entries and
+// the arena that owns their payload bytes.
+type outBuf struct {
+	q     []outMsg
+	arena []byte
+}
+
+// payloads calls f with every entry and its payload, in queue order.
+func (b *outBuf) payloads(f func(m *outMsg, payload []byte)) {
+	start := 0
+	for i := range b.q {
+		m := &b.q[i]
+		f(m, b.arena[start:m.end])
+		start = m.end
+	}
 }
 
 // peerRing is one peer's outbound MPSC ring plus its flusher state.
+// Producers fill buf; the flusher swaps it for the buffer it emptied on
+// its previous wakeup (take), so in steady state neither the queue nor
+// the payload bytes are allocated per message. An arena grows by
+// doubling but never past MaxQueueBytes plus the entry being added, so
+// a ring retains at most two arenas of that size however it was once
+// loaded.
 type peerRing struct {
 	c   *coalescer
 	dst uint32
 
-	mu     sync.Mutex
-	q      []outMsg
-	qBytes int        // encoded payload bytes in q, vs. MaxQueueBytes
-	space  *sync.Cond // on mu: signalled when the flusher drains q
-	dead   bool       // flusher exited; late producers send synchronously
+	mu    sync.Mutex
+	buf   outBuf     // len(buf.arena) is what MaxQueueBytes caps
+	space *sync.Cond // on mu: signalled when the flusher drains buf
+	dead  bool       // flusher exited; late producers send synchronously
 
 	kick     chan struct{} // cap 1: "the ring is non-empty"
 	flushReq atomic.Bool   // ship everything on the next wakeup
@@ -145,16 +171,18 @@ func (c *coalescer) add(dst uint32, t wire.FrameType, trace, deadline uint64, pa
 	// structures, and serializing that against other producers (or the
 	// flusher) would put wire encoding back on the critical path.
 	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	payload(w)
-	msg := outMsg{t: t, trace: trace, deadline: deadline, flush: flush, payload: w.Detach()}
-	wire.PutWriter(w)
+	b := w.Bytes()
+	// Rings that are gone (node stopping) leave the synchronous path.
+	resend := func(w *wire.Writer) { w.Raw(b) }
 
 	p := c.ring(dst)
 	if p == nil {
-		return c.sendSync(dst, t, trace, deadline, func(w *wire.Writer) { w.Raw(msg.payload) })
+		return c.sendSync(dst, t, trace, deadline, resend)
 	}
 	p.mu.Lock()
-	if !p.dead && p.qBytes >= c.cfg.MaxQueueBytes {
+	if !p.dead && len(p.buf.arena) >= c.cfg.MaxQueueBytes {
 		// Ring full: the flusher is behind (blocked on window
 		// backpressure or a down peer), so block the producer — the
 		// cap turns a runaway sender back into the pre-ring blocking
@@ -167,16 +195,16 @@ func (c *coalescer) add(dst uint32, t wire.FrameType, trace, deadline uint64, pa
 			c.n.sched.coverBlocking()
 		}
 		p.mu.Lock()
-		for !p.dead && p.qBytes >= c.cfg.MaxQueueBytes {
+		for !p.dead && len(p.buf.arena) >= c.cfg.MaxQueueBytes {
 			p.space.Wait()
 		}
 	}
 	if p.dead {
 		p.mu.Unlock()
-		return c.sendSync(dst, t, trace, deadline, func(w *wire.Writer) { w.Raw(msg.payload) })
+		return c.sendSync(dst, t, trace, deadline, resend)
 	}
-	p.q = append(p.q, msg)
-	p.qBytes += len(msg.payload)
+	p.buf.arena = append(growArena(p.buf.arena, len(b), c.cfg.MaxQueueBytes), b...)
+	p.buf.q = append(p.buf.q, outMsg{t: t, trace: trace, deadline: deadline, flush: flush, end: len(p.buf.arena)})
 	c.pend.Add(1)
 	p.mu.Unlock()
 	if flush {
@@ -187,6 +215,31 @@ func (c *coalescer) add(dst uint32, t wire.FrameType, trace, deadline uint64, pa
 	default: // a kick is already pending; it covers this entry
 	}
 	return nil
+}
+
+// growArena makes room for n more bytes. The arena is below limit
+// (MaxQueueBytes) whenever an entry is added, so limit+n always fits
+// the entry, and capping the doubling there bounds what the ring
+// retains once a burst has passed.
+func growArena(a []byte, n, limit int) []byte {
+	if len(a)+n <= cap(a) {
+		return a
+	}
+	grown := make([]byte, len(a), min(max(2*cap(a), len(a)+n), limit+n))
+	copy(grown, a)
+	return grown
+}
+
+// take hands the flusher everything queued and leaves idle — the
+// buffer the flusher emptied last time — for the producers to fill.
+func (p *peerRing) take(idle outBuf) outBuf {
+	idle.q, idle.arena = idle.q[:0], idle.arena[:0]
+	p.mu.Lock()
+	full := p.buf
+	p.buf = idle
+	p.space.Broadcast() // producers blocked on the cap may proceed
+	p.mu.Unlock()
+	return full
 }
 
 // ring returns dst's ring, creating it (and its flusher) on first use;
@@ -269,14 +322,7 @@ func (p *peerRing) loop() {
 		c.pend.Add(int64(-inFrame))
 		inFrame = 0
 	}
-	take := func() (batch []outMsg) {
-		p.mu.Lock()
-		batch, p.q = p.q, nil
-		p.qBytes = 0
-		p.space.Broadcast() // producers blocked on the cap may proceed
-		p.mu.Unlock()
-		return batch
-	}
+	var batch outBuf // what the last take returned; empty by the next one
 	for {
 		armed := false
 		var stop bool
@@ -293,11 +339,11 @@ func (p *peerRing) loop() {
 			// MaxDelay deadline stands, so note it to re-arm below.
 			armed = bb.Count() > 0
 		}
-		batch := take()
+		batch = p.take(batch)
 		wantFlush := p.flushReq.Swap(false)
-		for _, m := range batch {
+		batch.payloads(func(m *outMsg, payload []byte) {
 			w := bb.BeginEntry(m.t, c.n.cfg.ID, p.dst, m.trace, m.deadline)
-			w.Raw(m.payload)
+			w.Raw(payload)
 			bb.EndEntry()
 			inFrame++
 			if m.deadline == 0 {
@@ -308,25 +354,23 @@ func (p *peerRing) loop() {
 			if m.flush {
 				wantFlush = true
 			}
-		}
+		})
 		if stop {
 			flushNow()
 			p.mu.Lock()
 			p.dead = true
-			leftover := p.q // racing producers between take and here
-			p.q = nil
-			p.qBytes = 0
+			leftover := p.buf // racing producers between take and here
+			p.buf = outBuf{}
 			p.space.Broadcast() // blocked producers fall to sendSync
 			p.mu.Unlock()
 			// Ship stragglers synchronously rather than dropping them:
 			// an entry appended between the final take and the dead
 			// store is a real envelope the caller was promised would
 			// go out, exactly like a post-close enqueue.
-			for _, m := range leftover {
-				payload := m.payload
+			leftover.payloads(func(m *outMsg, payload []byte) {
 				_ = c.sendSync(p.dst, m.t, m.trace, m.deadline, func(w *wire.Writer) { w.Raw(payload) })
 				c.pend.Add(-1)
-			}
+			})
 			if !armed && !timer.Stop() {
 				select {
 				case <-timer.C:

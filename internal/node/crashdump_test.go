@@ -49,21 +49,21 @@ func TestSiteCrashDumpsFlightRecorder(t *testing.T) {
 	victim.Kill(errors.New("injected fault"))
 	<-victim.Done()
 
+	// The file appears in the directory before its bytes do: wait for
+	// the write, not for the name.
 	var dump string
+	var raw []byte
 	waitFor(t, func() bool {
 		entries, err := os.ReadDir(dir)
 		if err != nil || len(entries) == 0 {
 			return false
 		}
 		dump = filepath.Join(dir, entries[0].Name())
-		return true
+		raw, err = os.ReadFile(dump)
+		return err == nil && len(raw) > 0
 	})
 	if !strings.Contains(dump, "node1-svr-crash0") {
 		t.Errorf("dump name %q, want node1-svr-crash0 prefix", dump)
-	}
-	raw, err := os.ReadFile(dump)
-	if err != nil {
-		t.Fatal(err)
 	}
 	var snap telemetry.Snapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {

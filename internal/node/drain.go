@@ -141,6 +141,13 @@ func (n *Node) forwardFor(siteID uint32) (uint32, bool) {
 // preserved — the adopter journals and delivers it as if it had
 // arrived directly.
 func (n *Node) forwardEnvelope(env *wire.Envelope, target uint32) error {
+	if n.tel != nil && env.Trace != 0 {
+		// A forward is a routing decision: the trace checker pairs a
+		// deliver with a ship bound for the delivering node.
+		if op, _, err := wire.PeekOp(env.Payload); err == nil {
+			n.tel.Ship(env.Trace, env.Type, op, target)
+		}
+	}
 	fwd := wire.Envelope{Type: env.Type, SrcNode: env.SrcNode, DstNode: target, Trace: env.Trace, Payload: env.Payload}
 	return n.send(target, fwd.Encode())
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/asm"
@@ -38,13 +37,21 @@ var _ vm.External = (*Site)(nil)
 func (s *Site) exportID(chanIdx int) uint32 {
 	s.expMu.Lock()
 	defer s.expMu.Unlock()
-	if id, ok := s.exp[chanIdx]; ok {
-		return id
+	if chanIdx < len(s.exp) && s.exp[chanIdx] != 0 {
+		return s.exp[chanIdx]
 	}
-	s.nextHeap++
-	id := s.nextHeap
+	return s.addExport(chanIdx)
+}
+
+// addExport issues the next export id to a channel that has none.
+// Called with expMu held.
+func (s *Site) addExport(chanIdx int) uint32 {
+	if chanIdx >= len(s.exp) {
+		s.exp = append(s.exp, make([]uint32, chanIdx+1-len(s.exp))...)
+	}
+	s.expRev = append(s.expRev, chanIdx)
+	id := uint32(len(s.expRev))
 	s.exp[chanIdx] = id
-	s.expRev[id] = chanIdx
 	return id
 }
 
@@ -52,15 +59,17 @@ func (s *Site) exportID(chanIdx int) uint32 {
 func (s *Site) lookupExport(heap uint32) (int, bool) {
 	s.expMu.Lock()
 	defer s.expMu.Unlock()
-	idx, ok := s.expRev[heap]
-	return idx, ok
+	if i := heap - 1; i < uint32(len(s.expRev)) { // heap 0 wraps out of range
+		return s.expRev[i], true
+	}
+	return 0, false
 }
 
 // ExportTableSize reports the number of exported locals (stats).
 func (s *Site) ExportTableSize() int {
 	s.expMu.Lock()
 	defer s.expMu.Unlock()
-	return len(s.exp)
+	return len(s.expRev)
 }
 
 // egressVal σ-translates one machine value for the wire: local
@@ -253,13 +262,17 @@ func (s *Site) classGroups(frame []vm.Value, into map[int]bool) {
 	}
 }
 
-// newOp allocates the next operation identity. The counter is part of
-// the checkpoint overlay and its increments replay deterministically,
-// so a recovered incarnation re-issues its pre-crash operations with
-// identical (site, id) pairs — the receiver-side dedup key.
-func (s *Site) newOp() wire.OpRef {
-	s.nextOp++
-	return wire.OpRef{Site: s.cfg.ID, Epoch: s.epoch, ID: s.nextOp}
+// newOp allocates the next operation identity for an operation bound
+// for site dst. Ids count per destination, so each receiver sees this
+// site's ops as 1, 2, 3 … (see opSet). The counters are part of the
+// checkpoint overlay and their increments replay deterministically, so
+// a recovered incarnation re-issues its pre-crash operations with
+// identical (site, id) pairs per destination — the receiver-side dedup
+// key.
+func (s *Site) newOp(dst uint32) wire.OpRef {
+	p := s.peer(dst)
+	p.nextOp++
+	return wire.OpRef{Site: s.cfg.ID, Epoch: s.epoch, ID: p.nextOp}
 }
 
 // CurrentTrace returns the mobility trace of the operation being
@@ -307,7 +320,7 @@ func (s *Site) RemoteSend(ref vm.NetRef, label string, args []vm.Value) error {
 		return err
 	}
 	s.countSent(ref.Node)
-	err = s.cfg.Router.RouteMsg(s, s.newOp(), ref, label, ws)
+	err = s.cfg.Router.RouteMsg(s, s.newOp(ref.Site), ref, label, ws)
 	clear(ws)
 	s.egress = ws
 	return err
@@ -325,7 +338,7 @@ func (s *Site) RemoteObj(ref vm.NetRef, table int, frame []vm.Value) error {
 	}
 	// Deterministic extraction order: replay must produce a
 	// byte-identical unit, and rootGroups comes from a map.
-	sort.Ints(rootGroups)
+	slices.Sort(rootGroups)
 	unit, reloc, err := s.prog.Extract([]int{table}, rootGroups, s.egressConst)
 	if err != nil {
 		return err
@@ -335,7 +348,7 @@ func (s *Site) RemoteObj(ref vm.NetRef, table int, frame []vm.Value) error {
 		return err
 	}
 	s.countSent(ref.Node)
-	return s.cfg.Router.RouteObj(s, s.newOp(), ref, unit, reloc.Tables[table], wf)
+	return s.cfg.Router.RouteObj(s, s.newOp(ref.Site), ref, unit, reloc.Tables[table], wf)
 }
 
 // RemoteInst implements rule FETCH from the requesting side: resolve
@@ -382,7 +395,7 @@ func (s *Site) RemoteInst(class vm.NetClass, args []vm.Value) error {
 	s.pendingFetch[id] = &fetchPending{class: class, calls: [][]vm.Value{args}}
 	s.fetchByClass[class] = id
 	s.countSent(class.Node)
-	return s.cfg.Router.RouteFetch(s, s.newOp(), Addr{Site: class.Site, Node: class.Node}, class.Name, id)
+	return s.cfg.Router.RouteFetch(s, s.newOp(class.Site), Addr{Site: class.Site, Node: class.Node}, class.Name, id)
 }
 
 // serveFetch answers a class-code request: extract the class's group
@@ -390,7 +403,7 @@ func (s *Site) RemoteInst(class vm.NetClass, args []vm.Value) error {
 func (s *Site) serveFetch(f *FetchDelivery) error {
 	fail := func(msg string) error {
 		s.countSent(f.Reply.Node)
-		return s.cfg.Router.RouteFetchRep(s, s.newOp(), f.Reply, &FetchRepDelivery{ReqID: f.ReqID, Err: msg})
+		return s.cfg.Router.RouteFetchRep(s, s.newOp(f.Reply.Site), f.Reply, &FetchRepDelivery{ReqID: f.ReqID, Err: msg})
 	}
 	if s.cfg.Overloaded != nil && s.cfg.Overloaded() {
 		// Admission pushback: code extraction is the expensive part of
@@ -413,7 +426,7 @@ func (s *Site) serveFetch(f *FetchDelivery) error {
 	}
 	// Sorted for the same reason as in RemoteObj: replayed extractions
 	// must be byte-identical.
-	sort.Ints(rootGroups)
+	slices.Sort(rootGroups)
 	unit, reloc, err := s.prog.Extract(nil, rootGroups, s.egressConst)
 	if err != nil {
 		return fail(err.Error())
@@ -423,7 +436,7 @@ func (s *Site) serveFetch(f *FetchDelivery) error {
 		return fail(err.Error())
 	}
 	s.countSent(f.Reply.Node)
-	return s.cfg.Router.RouteFetchRep(s, s.newOp(), f.Reply, &FetchRepDelivery{
+	return s.cfg.Router.RouteFetchRep(s, s.newOp(f.Reply.Site), f.Reply, &FetchRepDelivery{
 		ReqID:    f.ReqID,
 		Class:    f.Class,
 		Unit:     unit,
@@ -503,7 +516,7 @@ func (s *Site) refetch(reqID uint64) error {
 	}
 	s.fetchRetries.Add(1)
 	s.countSent(p.class.Node)
-	return s.cfg.Router.RouteFetch(s, s.newOp(), Addr{Site: p.class.Site, Node: p.class.Node}, p.class.Name, reqID)
+	return s.cfg.Router.RouteFetch(s, s.newOp(p.class.Site), Addr{Site: p.class.Site, Node: p.class.Node}, p.class.Name, reqID)
 }
 
 // ExportName implements the export instruction for names: allocate a

@@ -65,14 +65,6 @@ func (s *Site) probePark(parked bool) {
 	}
 }
 
-// ExportCount reports the export-table size (local heap entries with
-// network identities).
-func (s *Site) ExportCount() int {
-	s.expMu.Lock()
-	defer s.expMu.Unlock()
-	return len(s.exp)
-}
-
 // ageMs converts a mirror's start stamp to an age; 0 means no span.
 func ageMs(now, at int64) int64 {
 	if at == 0 {
@@ -103,7 +95,7 @@ func (s *Site) Status() telemetry.SiteStatus {
 		ImportWaitMs:    ageMs(now, s.stImportWait.Load()),
 		PendingFetches:  int(s.stFetches.Load()),
 		FetchWaitMs:     ageMs(now, s.stFetchWait.Load()),
-		Exports:         s.ExportCount(),
+		Exports:         s.ExportTableSize(),
 		Sent:            s.ctrlSent.Load(),
 		Recv:            s.ctrlRecv.Load(),
 		Checkpoints:     s.stCkpt.Load(),

@@ -18,11 +18,12 @@
 package site
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,11 +262,7 @@ func decodeProgramRecord(data []byte) (*programRecord, error) {
 }
 
 func encodeStringMap(w *wire.Writer, m map[string]string) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(m)
 	w.U(uint64(len(keys)))
 	for _, k := range keys {
 		w.S(k)
@@ -306,50 +303,57 @@ type deliveryRecord struct {
 // encodeDelivery turns one handled delivery into a RecDelivery
 // payload. Mobility deliveries reuse the wire payload codecs;
 // Resolved uses a private format (the resolved value is post-ingress,
-// so only channel/net/net-class kinds occur).
+// so only channel/net/net-class kinds occur). The body is encoded into
+// one scratch writer and framed into the other; the result is valid
+// until the next call (the store copies what it keeps), so a journaled
+// delivery costs the store's copy and nothing else.
 func (s *Site) encodeDelivery(d Delivery) ([]byte, error) {
-	var w wire.Writer
-	w.U(s.m.Stats.ContextSwitches)
-	w.U(uint64(d.Src))
+	var kind byte
+	b := &s.recBody
+	b.Reset()
 	self := vm.NetRef{Site: s.cfg.ID, Node: s.cfg.NodeID}
 	switch {
 	case d.Msg != nil:
-		w.Byte(byte(wire.FMsg))
+		kind = byte(wire.FMsg)
 		to := self
 		to.Heap = d.Msg.Heap
-		w.B((&wire.Msg{Op: d.Op, To: to, Label: d.Msg.Label, Args: d.Msg.Args}).Encode())
+		(&wire.Msg{Op: d.Op, To: to, Label: d.Msg.Label, Args: d.Msg.Args}).AppendPayload(b)
 	case d.Obj != nil:
-		w.Byte(byte(wire.FObj))
+		kind = byte(wire.FObj)
 		to := self
 		to.Heap = d.Obj.Heap
-		w.B((&wire.Obj{Op: d.Op, To: to, Unit: asm.Encode(d.Obj.Unit), Table: d.Obj.Table, Frame: d.Obj.Frame}).Encode())
+		(&wire.Obj{Op: d.Op, To: to, Unit: asm.Encode(d.Obj.Unit), Table: d.Obj.Table, Frame: d.Obj.Frame}).AppendPayload(b)
 	case d.Fetch != nil:
-		w.Byte(byte(wire.FFetchReq))
-		w.B((&wire.FetchReq{
+		kind = byte(wire.FFetchReq)
+		(&wire.FetchReq{
 			Op: d.Op, Class: d.Fetch.Class, OwnerSite: s.cfg.ID, ReqID: d.Fetch.ReqID,
 			ReplySite: d.Fetch.Reply.Site, ReplyNode: d.Fetch.Reply.Node,
-		}).Encode())
+		}).AppendPayload(b)
 	case d.FetchRep != nil:
 		rep := d.FetchRep
 		var ub []byte
 		if rep.Unit != nil {
 			ub = asm.Encode(rep.Unit)
 		}
-		w.Byte(byte(wire.FFetchRep))
-		w.B((&wire.FetchRep{
+		kind = byte(wire.FFetchRep)
+		(&wire.FetchRep{
 			Op: d.Op, ReqID: rep.ReqID, DstSite: s.cfg.ID, Err: rep.Err, Class: rep.Class,
 			Unit: ub, Group: rep.Group, Index: rep.Index, Captured: rep.Captured,
-		}).Encode())
+		}).AppendPayload(b)
 	case d.Resolved != nil:
-		w.Byte(resolvedKind)
-		var rb wire.Writer
-		rb.U(uint64(d.Resolved.ConstIdx))
-		rb.S(d.Resolved.ClassSig)
-		encodeResolvedValue(&rb, d.Resolved.Value)
-		w.B(rb.Bytes())
+		kind = resolvedKind
+		b.U(uint64(d.Resolved.ConstIdx))
+		b.S(d.Resolved.ClassSig)
+		encodeResolvedValue(b, d.Resolved.Value)
 	default:
 		return nil, fmt.Errorf("site %s: journal: empty delivery", s.cfg.Name)
 	}
+	w := &s.recHdr
+	w.Reset()
+	w.U(s.m.Stats.ContextSwitches)
+	w.U(uint64(d.Src))
+	w.Byte(kind)
+	w.B(b.Bytes())
 	return w.Bytes(), nil
 }
 
@@ -648,7 +652,7 @@ func (s *Site) checkpoint() error {
 			if err != nil {
 				return nil, err
 			}
-			if !s.applied[op.Site][op.ID] {
+			if !s.appliedOp(op) {
 				fresh = append(fresh, rec)
 			}
 		}
@@ -657,21 +661,22 @@ func (s *Site) checkpoint() error {
 }
 
 // encodeOverlay appends the site's own state to a machine snapshot.
-// All map iterations are sorted: a checkpoint of a given state must be
-// byte-identical regardless of map layout, so replayed incarnations
-// compact to comparable logs.
+// A checkpoint of a given state must be byte-identical regardless of
+// map layout, so replayed incarnations compact to comparable logs:
+// the state that grows with traffic is kept in order already (the
+// export table by id, applied ids as ranges) and is written as it
+// stands; only the small maps — one entry per name, class or peer,
+// never per message — are iterated through sorted keys.
 func (s *Site) encodeOverlay(w *vm.SnapWriter) {
 	s.expMu.Lock()
-	w.U(uint64(s.nextHeap))
-	chans := make([]int, 0, len(s.exp))
-	for c := range s.exp {
-		chans = append(chans, c)
-	}
-	sort.Ints(chans)
-	w.U(uint64(len(chans)))
-	for _, c := range chans {
-		w.V(int64(c))
-		w.U(uint64(s.exp[c]))
+	// The export table in id order; a channel as its distance from the
+	// previous id's (reply channels are exported as they are made, so
+	// the distances are small).
+	w.U(uint64(len(s.expRev)))
+	prev := 0
+	for _, c := range s.expRev {
+		w.V(int64(c - prev))
+		prev = c
 	}
 	s.expMu.Unlock()
 
@@ -684,22 +689,14 @@ func (s *Site) encodeOverlay(w *vm.SnapWriter) {
 	writeStringMap(w, s.expNameSigs)
 	writeStringMap(w, s.expClassSigs)
 
-	ncs := make([]vm.NetClass, 0, len(s.classSigs))
-	for nc := range s.classSigs {
-		ncs = append(ncs, nc)
-	}
-	sortNetClasses(ncs)
+	ncs := sortedNetClasses(s.classSigs)
 	w.U(uint64(len(ncs)))
 	for _, nc := range ncs {
 		writeNetClass(w, nc)
 		w.S(s.classSigs[nc])
 	}
 
-	fcs := make([]vm.NetClass, 0, len(s.fetchCache))
-	for nc := range s.fetchCache {
-		fcs = append(fcs, nc)
-	}
-	sortNetClasses(fcs)
+	fcs := sortedNetClasses(s.fetchCache)
 	w.U(uint64(len(fcs)))
 	for _, nc := range fcs {
 		writeNetClass(w, nc)
@@ -707,35 +704,14 @@ func (s *Site) encodeOverlay(w *vm.SnapWriter) {
 	}
 
 	w.U(s.nextReq)
-	w.U(s.nextOp)
 
-	sites := make([]uint32, 0, len(s.applied))
-	for st := range s.applied {
-		sites = append(sites, st)
-	}
-	sortU32(sites)
-	w.U(uint64(len(sites)))
-	for _, st := range sites {
-		ids := make([]uint64, 0, len(s.applied[st]))
-		for id := range s.applied[st] {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	w.U(uint64(len(s.peers)))
+	for _, st := range sortedKeys(s.peers) {
+		p := s.peers[st]
 		w.U(uint64(st))
-		w.U(uint64(len(ids)))
-		for _, id := range ids {
-			w.U(id)
-		}
-	}
-	epochs := make([]uint32, 0, len(s.maxEpoch))
-	for st := range s.maxEpoch {
-		epochs = append(epochs, st)
-	}
-	sortU32(epochs)
-	w.U(uint64(len(epochs)))
-	for _, st := range epochs {
-		w.U(uint64(st))
-		w.U(uint64(s.maxEpoch[st]))
+		w.U(p.nextOp)
+		w.U(uint64(p.maxEpoch))
+		p.applied.encode(w)
 	}
 
 	w.U(s.ctrlSent.Load())
@@ -751,11 +727,7 @@ func (s *Site) encodeOverlay(w *vm.SnapWriter) {
 	w.U(s.DupDrops)
 	w.U(s.StaleDrops)
 
-	idxs := make([]int, 0, len(s.pendingImports))
-	for i := range s.pendingImports {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
+	idxs := sortedKeys(s.pendingImports)
 	w.U(uint64(len(idxs)))
 	for _, i := range idxs {
 		pi := s.pendingImports[i]
@@ -770,14 +742,15 @@ func (s *Site) encodeOverlay(w *vm.SnapWriter) {
 // decodeOverlay restores the site state written by encodeOverlay.
 func (s *Site) decodeOverlay(r *vm.SnapReader) error {
 	s.expMu.Lock()
-	s.nextHeap = uint32(r.U())
-	s.exp = map[int]uint32{}
-	s.expRev = map[uint32]int{}
-	for i, n := 0, r.Count("exports"); i < n; i++ {
-		c := int(r.V())
-		id := uint32(r.U())
-		s.exp[c] = id
-		s.expRev[id] = c
+	n := r.Count("exports")
+	s.exp, s.expRev = nil, make([]int, 0, n)
+	for i, c := 0, 0; i < n; i++ {
+		c += int(r.V())
+		if c < 0 || c >= s.m.HeapSize() || (c < len(s.exp) && s.exp[c] != 0) {
+			s.expMu.Unlock()
+			return fmt.Errorf("site: checkpoint: export %d names channel %d: outside the heap or exported twice", i+1, c)
+		}
+		s.addExport(c)
 	}
 	s.expMu.Unlock()
 
@@ -801,21 +774,15 @@ func (s *Site) decodeOverlay(r *vm.SnapReader) error {
 	}
 
 	s.nextReq = r.U()
-	s.nextOp = r.U()
 
-	s.applied = map[uint32]map[uint64]bool{}
-	for i, n := 0, r.Count("appliedSites"); i < n; i++ {
+	s.peers = map[uint32]*peerOps{}
+	for i, n := 0, r.Count("peers"); i < n; i++ {
 		st := uint32(r.U())
-		ids := map[uint64]bool{}
-		for j, m := 0, r.Count("appliedOps"); j < m; j++ {
-			ids[r.U()] = true
+		p := &peerOps{nextOp: r.U(), maxEpoch: uint32(r.U())}
+		if err := p.applied.decode(r); err != nil {
+			return err
 		}
-		s.applied[st] = ids
-	}
-	s.maxEpoch = map[uint32]uint32{}
-	for i, n := 0, r.Count("maxEpoch"); i < n; i++ {
-		st := uint32(r.U())
-		s.maxEpoch[st] = uint32(r.U())
+		s.peers[st] = p
 	}
 
 	s.ctrlSent.Store(r.U())
@@ -844,30 +811,26 @@ func (s *Site) decodeOverlay(r *vm.SnapReader) error {
 	return r.Err()
 }
 
-func sortedKeys(m map[string]vm.Value) []string {
-	out := make([]string, 0, len(m))
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-func sortU32(xs []uint32) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
-func sortNetClasses(ncs []vm.NetClass) {
-	sort.Slice(ncs, func(i, j int) bool {
-		a, b := ncs[i], ncs[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		return a.Node < b.Node
+// sortedNetClasses returns m's keys ordered by name, site, node.
+func sortedNetClasses[V any](m map[vm.NetClass]V) []vm.NetClass {
+	out := make([]vm.NetClass, 0, len(m))
+	for nc := range m {
+		out = append(out, nc)
+	}
+	slices.SortFunc(out, func(a, b vm.NetClass) int {
+		return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(a.Site, b.Site), cmp.Compare(a.Node, b.Node))
 	})
+	return out
 }
 
 func writeNetClass(w *vm.SnapWriter, nc vm.NetClass) {
@@ -881,11 +844,7 @@ func readNetClass(r *vm.SnapReader) vm.NetClass {
 }
 
 func writeStringMap(w *vm.SnapWriter, m map[string]string) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(m)
 	w.U(uint64(len(keys)))
 	for _, k := range keys {
 		w.S(k)
@@ -903,11 +862,7 @@ func readStringMap(r *vm.SnapReader, what string) map[string]string {
 }
 
 func writeU64Map(w *vm.SnapWriter, m map[uint32]uint64) {
-	keys := make([]uint32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortU32(keys)
+	keys := sortedKeys(m)
 	w.U(uint64(len(keys)))
 	for _, k := range keys {
 		w.U(uint64(k))
@@ -1013,7 +968,7 @@ func (s *Site) restore(l *RecoveredLog) error {
 		if err != nil {
 			return fmt.Errorf("accepted replay: %w", err)
 		}
-		if !d.Op.IsZero() && s.applied[d.Op.Site][d.Op.ID] {
+		if !d.Op.IsZero() && s.appliedOp(d.Op) {
 			continue
 		}
 		if err := s.handle(d); err != nil {

@@ -3,6 +3,7 @@ package site_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -40,12 +41,16 @@ func TestEpochFencingAndDedup(t *testing.T) {
 		v    int64
 		want string
 	}{
-		{wire.OpRef{Site: 9, Epoch: 2, ID: 1}, 7, "got 7\n"},               // applied
-		{wire.OpRef{Site: 9, Epoch: 2, ID: 1}, 7, "got 7\n"},               // duplicate id: dropped
-		{wire.OpRef{Site: 9, Epoch: 1, ID: 2}, 66, "got 7\n"},              // dead incarnation: fenced
-		{wire.OpRef{Site: 9, Epoch: 2, ID: 3}, 8, "got 7\ngot 8\n"},        // applied
-		{wire.OpRef{Site: 9, Epoch: 3, ID: 3}, 8, "got 7\ngot 8\n"},        // re-shipped after recovery: still a dup
-		{wire.OpRef{Site: 9, Epoch: 3, ID: 4}, 9, "got 7\ngot 8\ngot 9\n"}, // applied under the new epoch
+		{wire.OpRef{Site: 9, Epoch: 2, ID: 1}, 7, "got 7\n"},                               // applied
+		{wire.OpRef{Site: 9, Epoch: 2, ID: 1}, 7, "got 7\n"},                               // duplicate id: dropped
+		{wire.OpRef{Site: 9, Epoch: 1, ID: 2}, 66, "got 7\n"},                              // dead incarnation: fenced, and id 2 stays open
+		{wire.OpRef{Site: 9, Epoch: 2, ID: 3}, 8, "got 7\ngot 8\n"},                        // applied ahead of id 2: leaves a gap
+		{wire.OpRef{Site: 9, Epoch: 2, ID: 2}, 5, "got 7\ngot 8\ngot 5\n"},                 // applied late: the gap closes
+		{wire.OpRef{Site: 9, Epoch: 3, ID: 3}, 8, "got 7\ngot 8\ngot 5\n"},                 // re-shipped after recovery: still a dup
+		{wire.OpRef{Site: 9, Epoch: 3, ID: 4}, 9, "got 7\ngot 8\ngot 5\ngot 9\n"},          // applied under the new epoch
+		{wire.OpRef{Site: 9, Epoch: 2, ID: 5}, 67, "got 7\ngot 8\ngot 5\ngot 9\n"},         // never-seen id from the dead incarnation: fenced
+		{wire.OpRef{Site: 9, Epoch: 3, ID: 2}, 5, "got 7\ngot 8\ngot 5\ngot 9\n"},          // the late id again: a dup inside the joined range
+		{wire.OpRef{Site: 9, Epoch: 3, ID: 5}, 10, "got 7\ngot 8\ngot 5\ngot 9\ngot 10\n"}, // the fenced id was not recorded: applied
 	}
 	for i, step := range ops {
 		if err := s.Deliver(valMsg(step.op, step.v)); err != nil {
@@ -62,11 +67,11 @@ func TestEpochFencingAndDedup(t *testing.T) {
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
-	if s.DupDrops != 2 {
-		t.Errorf("DupDrops = %d, want 2", s.DupDrops)
+	if s.DupDrops != 3 {
+		t.Errorf("DupDrops = %d, want 3", s.DupDrops)
 	}
-	if s.StaleDrops != 1 {
-		t.Errorf("StaleDrops = %d, want 1", s.StaleDrops)
+	if s.StaleDrops != 2 {
+		t.Errorf("StaleDrops = %d, want 2", s.StaleDrops)
 	}
 }
 
@@ -271,5 +276,87 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("no records after restore")
+	}
+}
+
+// checkpointLen returns the size of the log's checkpoint record.
+func checkpointLen(t *testing.T, st journal.Store) int {
+	t.Helper()
+	recs, err := st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Kind == site.RecCheckpoint {
+			return len(rec.Data)
+		}
+	}
+	t.Fatal("no checkpoint in the log")
+	return 0
+}
+
+// TestCheckpointSizeIndependentOfHistory serves n and then 10n in-order
+// calls from one peer: the applied ids are one range either way, so the
+// server's checkpoint has the same length, give or take the width of
+// the counters in it. (Kept as a set of ids it grew by a byte or more
+// per delivery.)
+func TestCheckpointSizeIndependentOfHistory(t *testing.T) {
+	st, err := journal.NewMemFactory().Open("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	s, heap := journaledRPCServer(t, st, n)
+	for i := 0; i < n; i++ {
+		serve(t, s, call(heap, i))
+	}
+	if s.Checkpoints != 1 {
+		t.Fatalf("%d checkpoints after %d deliveries, want 1", s.Checkpoints, n)
+	}
+	short := checkpointLen(t, st)
+	for i := n; i < 10*n; i++ {
+		serve(t, s, call(heap, i))
+	}
+	if s.Checkpoints != 10 {
+		t.Fatalf("%d checkpoints after %d deliveries, want 10", s.Checkpoints, 10*n)
+	}
+	long := checkpointLen(t, st)
+	t.Logf("checkpoint record: %d bytes after %d deliveries, %d after %d", short, n, long, 10*n)
+	// A dozen counters (ops, context switches, sent/received) may each
+	// have gained a varint byte; 9n more ids would be 9n bytes or more.
+	if long-short > 16 {
+		t.Fatalf("checkpoint grew from %d to %d bytes over %d more in-order deliveries", short, long, 9*n)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkCheckpoint times one checkpoint of the server after it has
+// applied 10k and 100k in-order deliveries: the cost must not depend on
+// how much history the site has seen.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, applied := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("applied=%d", applied), func(b *testing.B) {
+			st, err := journal.NewMemFactory().Open("server")
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, heap := journaledRPCServer(b, st, 2*applied)
+			for i := 0; i < applied; i++ {
+				serve(b, s, call(heap, i))
+			}
+			// The first checkpoint also compacts the delivery log away.
+			if err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

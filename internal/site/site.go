@@ -269,13 +269,15 @@ type Site struct {
 	flushOut func()
 
 	// Export table (paper section 5): local heap index ↔ exported
-	// heap id, for every local variable that leaves the site. The
+	// heap id, for every local variable that leaves the site. Export
+	// ids are issued 1, 2, 3 … and never retired, so the table is two
+	// arrays: exp[channel] is the channel's export id (0 = not
+	// exported), expRev[id-1] the channel behind an export id. The
 	// mutex covers cross-goroutine stats reads; mutation happens on
 	// the site goroutine only.
 	expMu        sync.Mutex
-	exp          map[int]uint32
-	expRev       map[uint32]int
-	nextHeap     uint32
+	exp          []uint32
+	expRev       []int
 	expNames     map[string]vm.Value
 	expNameSigs  map[string]string
 	expClassSigs map[string]string
@@ -298,13 +300,14 @@ type Site struct {
 
 	// Crash-recovery state (site goroutine only).
 	epoch      uint32
-	nextOp     uint64                     // per-incarnation-lineage op counter
-	applied    map[uint32]map[uint64]bool // src site -> op ids applied
-	maxEpoch   map[uint32]uint32          // src site -> highest epoch seen
-	replaying  bool                       // journal replay in progress
-	sinceCkpt  int                        // deliveries since the last checkpoint
+	peers      map[uint32]*peerOps // remote site -> op bookkeeping, both directions
+	replaying  bool                // journal replay in progress
+	sinceCkpt  int                 // deliveries since the last checkpoint
 	jl         *Journal
 	restoreLog *RecoveredLog
+	// Scratch writers for RecDelivery records (encodeDelivery): the
+	// journal store copies what it keeps.
+	recHdr, recBody wire.Writer
 
 	// Fetch bookkeeping.
 	nextReq      uint64
@@ -374,6 +377,33 @@ type Site struct {
 	leaseErr     atomic.Value // string: last keep-alive failure, "" after success
 }
 
+// peerOps is everything the site remembers about its mobility traffic
+// with one remote site. Op ids are issued per destination, so what a
+// receiver sees from one sender is the sequence 1, 2, 3 … and its
+// applied set stays a single range while deliveries arrive in order.
+type peerOps struct {
+	nextOp   uint64 // last op id issued to the site
+	maxEpoch uint32 // highest incarnation seen from it
+	applied  opSet  // ids of its ops applied here
+}
+
+// peer returns the bookkeeping entry for a remote site, creating it on
+// first contact.
+func (s *Site) peer(id uint32) *peerOps {
+	p := s.peers[id]
+	if p == nil {
+		p = &peerOps{}
+		s.peers[id] = p
+	}
+	return p
+}
+
+// appliedOp reports whether the operation was already applied here.
+func (s *Site) appliedOp(op wire.OpRef) bool {
+	p := s.peers[op.Site]
+	return p != nil && p.applied.has(op.ID)
+}
+
 type fetchPending struct {
 	class   vm.NetClass
 	calls   [][]vm.Value
@@ -412,8 +442,6 @@ func New(cfg Config) *Site {
 		in:             make(chan Delivery, 1024),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
-		exp:            map[int]uint32{},
-		expRev:         map[uint32]int{},
 		expNames:       map[string]vm.Value{},
 		expNameSigs:    map[string]string{},
 		expClassSigs:   map[string]string{},
@@ -426,8 +454,7 @@ func New(cfg Config) *Site {
 		sentTo:         map[uint32]uint64{},
 		recvFrom:       map[uint32]uint64{},
 		epoch:          cfg.Epoch,
-		applied:        map[uint32]map[uint64]bool{},
-		maxEpoch:       map[uint32]uint32{},
+		peers:          map[uint32]*peerOps{},
 		jl:             cfg.Journal,
 		tel:            cfg.Telemetry,
 	}
@@ -952,14 +979,17 @@ func (s *Site) handle(d Delivery) error {
 	if s.cfg.OnSojourn != nil && !d.At.IsZero() {
 		s.cfg.OnSojourn(time.Since(d.At))
 	}
+	var p *peerOps // the sender's entry: the one map lookup of the hot path
 	if !d.Op.IsZero() {
-		if d.Op.Epoch < s.maxEpoch[d.Op.Site] {
-			s.StaleDrops++
-			return nil
-		}
-		if s.applied[d.Op.Site][d.Op.ID] {
-			s.DupDrops++
-			return nil
+		if p = s.peers[d.Op.Site]; p != nil {
+			if d.Op.Epoch < p.maxEpoch {
+				s.StaleDrops++
+				return nil
+			}
+			if p.applied.has(d.Op.ID) {
+				s.DupDrops++
+				return nil
+			}
 		}
 	}
 	if d.Resolved == nil && d.Refetch == nil {
@@ -1008,15 +1038,13 @@ func (s *Site) handle(d Delivery) error {
 		s.tel.Deliver(d.Trace, d.frameType(), d.Op, s.cfg.ID, d.Src == s.cfg.NodeID)
 	}
 	if !d.Op.IsZero() {
-		if d.Op.Epoch > s.maxEpoch[d.Op.Site] {
-			s.maxEpoch[d.Op.Site] = d.Op.Epoch
+		if p == nil {
+			// First contact (the apply may have created the entry by
+			// replying).
+			p = s.peer(d.Op.Site)
 		}
-		ids := s.applied[d.Op.Site]
-		if ids == nil {
-			ids = map[uint64]bool{}
-			s.applied[d.Op.Site] = ids
-		}
-		ids[d.Op.ID] = true
+		p.maxEpoch = max(p.maxEpoch, d.Op.Epoch)
+		p.applied.add(d.Op.ID)
 	}
 	s.sinceCkpt++
 	return nil

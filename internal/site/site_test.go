@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/asm"
+	"repro/internal/journal"
 	"repro/internal/nameservice"
 	"repro/internal/node"
 	"repro/internal/site"
@@ -231,7 +232,17 @@ func TestSiteStopIsIdempotent(t *testing.T) {
 // rpcServer loads the one-integer call server into a site driven turn
 // by turn (no Run goroutine) and returns it with the heap id of p.
 func rpcServer(tb testing.TB) (*site.Site, uint32) {
+	return journaledRPCServer(tb, nil, 0)
+}
+
+// journaledRPCServer is rpcServer writing ahead to st (nil = no
+// journal) and checkpointing every ckptEvery deliveries.
+func journaledRPCServer(tb testing.TB, st journal.Store, ckptEvery int) (*site.Site, uint32) {
 	tb.Helper()
+	var jl *site.Journal
+	if st != nil {
+		jl = site.NewJournal(st)
+	}
 	ns := nameservice.NewCentral()
 	prog, err := node.CompileSubmission("server", `
 def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p])
@@ -239,7 +250,10 @@ in export new p Serve[p]`)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := site.New(site.Config{Name: "server", ID: 1, NodeID: 1, NS: ns, Router: &fakeRouter{}})
+	s := site.New(site.Config{
+		Name: "server", ID: 1, NodeID: 1, NS: ns, Router: &fakeRouter{},
+		Journal: jl, CheckpointEvery: ckptEvery,
+	})
 	if err := s.Load(prog); err != nil {
 		tb.Fatal(err)
 	}
@@ -298,6 +312,38 @@ func TestTurnAllocBudget(t *testing.T) {
 	}
 	if got := s.Machine().Stats.RemoteSends; !testutil.Race && got != runs+1 {
 		t.Fatalf("%d replies sent, want %d", got, runs+1)
+	}
+}
+
+// TestJournaledTurnAllocBudget is TestTurnAllocBudget with a journal
+// attached: the delivery record is built in the site's scratch
+// writers, so write-ahead logging adds the store's own copy of the
+// record and nothing else.
+func TestJournaledTurnAllocBudget(t *testing.T) {
+	st, err := journal.NewMemFactory().Open("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 1000
+	s, heap := journaledRPCServer(t, st, 10*runs) // no checkpoint inside the measurement
+	calls := make([]site.Delivery, runs+1)
+	for i := range calls {
+		calls[i] = call(heap, i)
+	}
+	i := 0
+	testutil.CheckAllocs(t, "journaled TryDeliver + Turn of a one-integer call", 5, runs, func() {
+		serve(t, s, calls[i])
+		i++
+	})
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(recs); !testutil.Race && got < runs {
+		t.Fatalf("journal holds %d records after %d deliveries", got, runs)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestVerifyTraces(t *testing.T) {
 			{Trace: 7, Kind: EvOrigin, Node: 2},
 		}},
 		{"deliver without origin", []Event{
-			{Trace: 7, Kind: EvShip, Node: 1, Op: op},
+			{Trace: 7, Kind: EvShip, Node: 1, Peer: 2, Op: op},
 			{Trace: 7, Kind: EvDeliver, Node: 2, Op: op},
 		}},
 		{"deliver without matching ship", []Event{
@@ -190,6 +190,11 @@ func TestVerifyTraces(t *testing.T) {
 		}},
 		{"untraced deliver", []Event{
 			{Trace: 0, Kind: EvDeliver, Node: 2, Op: op},
+		}},
+		{"deliver on a node the ship was not bound for", []Event{
+			{Trace: 7, Kind: EvOrigin, Node: 1},
+			{Trace: 7, Kind: EvShip, Node: 1, Peer: 3, Op: op},
+			{Trace: 7, Kind: EvDeliver, Node: 2, Op: op},
 		}},
 	}
 	for _, c := range cases {
@@ -206,16 +211,17 @@ func TestTelemetryHooksFeedMetricsAndRecorder(t *testing.T) {
 	op := wire.OpRef{Site: 2, Epoch: 1, ID: 1}
 	tr := tel.NextTrace()
 	tel.Origin(tr, 2)
-	tel.Ship(tr, wire.FMsg, op, 4)
+	tel.Ship(tr, wire.FMsg, op, 1)                // same-node fast path: delivered below
 	tel.Ship(0, wire.FHeartbeat, wire.OpRef{}, 4) // control frame, untraced
-	tel.Deliver(tr, wire.FMsg, op, 9, false)
+	tel.Deliver(tr, wire.FMsg, op, 9, true)
 	snap := tel.Snapshot()
 	for name, want := range map[string]float64{
 		"ship.msg":          1,
 		"ship.control":      1,
-		"deliver.remote":    1,
+		"deliver.local":     1,
 		"traces.allocated":  1,
-		"peer.4.frames_out": 2,
+		"peer.1.frames_out": 1,
+		"peer.4.frames_out": 1,
 	} {
 		if got := snap.Metrics[name]; got != want {
 			t.Errorf("metric %s = %v, want %v", name, got, want)

@@ -136,8 +136,11 @@ func BuildTrees(events []Event) []Tree {
 // VerifyTraces checks the completeness invariant of E12 over a merged
 // event stream: every trace tree has exactly one origin, and every
 // delivered envelope belongs to exactly one tree — concretely, each
-// EvDeliver pairs with an EvShip of the same (trace, op), and no trace
-// ID was allocated twice. Ship events may outnumber delivers (a hop
+// EvDeliver pairs with an EvShip of the same (trace, op) bound for the
+// node that delivered it (op ids count per destination site, so two
+// first ops of one trace to two sites share an id and must not vouch
+// for each other), and no trace ID was allocated twice. Ship events
+// may outnumber delivers (a hop
 // shipped but dropped by chaos and retried is recorded once per
 // routing decision, and the terminal drop of a crashed peer never
 // delivers); a deliver without a ship means a hop was recorded
@@ -146,6 +149,7 @@ func VerifyTraces(events []Event) error {
 	type hop struct {
 		trace uint64
 		op    wire.OpRef
+		node  uint32 // destination: the ship's Peer, the deliver's Node
 	}
 	origins := map[uint64]int{}
 	ships := map[hop]int{}
@@ -161,7 +165,7 @@ func VerifyTraces(events []Event) error {
 		case EvOrigin:
 			origins[e.Trace]++
 		case EvShip:
-			ships[hop{e.Trace, e.Op}]++
+			ships[hop{e.Trace, e.Op, e.Peer}]++
 		case EvDeliver:
 			delivers = append(delivers, e)
 		}
@@ -175,7 +179,7 @@ func VerifyTraces(events []Event) error {
 		if origins[d.Trace] == 0 {
 			return fmt.Errorf("telemetry: deliver without origin: %v", d)
 		}
-		if ships[hop{d.Trace, d.Op}] == 0 {
+		if ships[hop{d.Trace, d.Op, d.Node}] == 0 {
 			return fmt.Errorf("telemetry: deliver without matching ship: %v", d)
 		}
 	}

@@ -5,11 +5,12 @@ import "fmt"
 // OpRef identifies one mobility operation (SHIPM, SHIPO, FETCH request
 // or reply) for the crash-recovery subsystem. Site is the originating
 // site, Epoch the site's incarnation counter (bumped on every
-// supervised restart), and ID a per-incarnation-lineage monotone
-// counter. The pair (Site, ID) is stable across replay — a recovered
-// site reproduces its pre-crash operations with the same IDs under a
-// higher epoch, so receivers deduplicate by (Site, ID) and fence
-// lower-epoch traffic from stale pre-crash incarnations.
+// supervised restart), and ID a counter monotone per originating site
+// and destination site: a receiver sees one sender's operations
+// numbered 1, 2, 3 …. The pair (Site, ID) is stable across replay — a
+// recovered site reproduces its pre-crash operations with the same IDs
+// under a higher epoch, so receivers deduplicate by (Site, ID) and
+// fence lower-epoch traffic from stale pre-crash incarnations.
 type OpRef struct {
 	Site  uint32
 	Epoch uint32
