@@ -89,8 +89,9 @@ func run(serverSrc, clientSrc string) {
 	for _, line := range strings.Split(strings.TrimRight(clientOut.String(), "\n"), "\n") {
 		fmt.Println("  ", line)
 	}
-	fmt.Printf("client linked %d mobile code unit(s); fetched %d class group(s)\n",
-		client.UnitsLinked-1, client.ClassesFetched) // -1: the client's own program
+	links := client.UnitsLinked - 1 // -1: the client's own program
+	fmt.Printf("client received %d mobile code unit(s), linked %d; fetched %d class group(s)\n",
+		links+client.LinkCacheHits, links, client.ClassesFetched)
 }
 
 func fail(err error) {

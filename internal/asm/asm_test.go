@@ -1,6 +1,8 @@
 package asm_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -8,6 +10,8 @@ import (
 	"repro/internal/calc"
 	"repro/internal/compiler"
 	"repro/internal/syntax"
+	"repro/internal/testutil"
+	"repro/internal/vm"
 )
 
 func compile(t *testing.T, src string) *asm.Unit {
@@ -105,6 +109,27 @@ func TestDecodeCorruptionIsSafe(t *testing.T) {
 		// fail verification cleanly — never crash later stages.
 		_ = asm.Verify(u2)
 	}
+	// Hostile counts: a handful of bytes declaring a huge section must
+	// fail before anything is allocated for the section.
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		// magic, version, name "", entry -1, no strings, labels, ints,
+		// floats or imports, then 64 M consts: 16 bytes in all.
+		{"64M consts", binary.AppendUvarint([]byte("TyCO\x01\x00\x01\x00\x00\x00\x00\x00"), asm.MaxCodeSize)},
+		{"64M strings", binary.AppendUvarint([]byte("TyCO\x01\x00\x01"), asm.MaxCodeSize)},
+		{"string of 64 MB", binary.AppendUvarint([]byte("TyCO\x01"), asm.MaxCodeSize)},
+	} {
+		var err error
+		n := testutil.AllocBytes(func() { _, err = asm.Decode(c.data) })
+		if err == nil {
+			t.Errorf("%s: %d bytes decoded without error", c.name, len(c.data))
+		}
+		if !testutil.Race && n >= 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes before failing", c.name, len(c.data), n)
+		}
+	}
 }
 
 func TestVerifyRejects(t *testing.T) {
@@ -190,4 +215,51 @@ func TestDecodeSizeLimit(t *testing.T) {
 	if _, err := asm.Decode(big); err == nil {
 		t.Fatal("oversized byte-code accepted")
 	}
+}
+
+// FuzzDecodeUnit feeds arbitrary bytes to the byte-code decoder, the
+// path mobile code takes off the fabric (and, since a site links each
+// distinct unit once, the bytes that become its link-cache key).
+// Decode, Verify and Link into a fresh program must never panic, and a
+// unit that verifies must survive Encode → Decode → Verify with the
+// same encoding.
+func FuzzDecodeUnit(f *testing.F) {
+	for _, src := range []string{
+		`new x (x![1] | x?(v) = println(v))`,
+		`def A(x) = println(x) in new c (A[1] | c![2] | c?(v) = A[v])`,
+		`def Cell(self, v) = self?{ read(r) = r![v] | Cell[self, v], write(u) = Cell[self, u] } in new x (Cell[x, 9] | new z (x!read[z] | z?(w) = println(w + 1.5, "s")))`,
+		`import chat from server in import Applet from server in (chat!["x"] | Applet[1])`,
+	} {
+		u, err := compiler.Compile(syntax.MustParse(src), "seed")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(asm.Encode(u))
+	}
+	f.Add(binary.AppendUvarint([]byte("TyCO\x01\x00\x01\x00\x00\x00\x00\x00"), asm.MaxCodeSize))
+	f.Add([]byte("TyCO"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u, err := asm.Decode(data)
+		if err != nil {
+			return
+		}
+		if asm.Verify(u) != nil {
+			return
+		}
+		if _, err := vm.NewProgram().Link(u, make([]vm.Value, len(u.Imports)), make([]vm.Value, len(u.Consts))); err != nil {
+			t.Fatalf("verified unit failed to link: %v", err)
+		}
+		enc := asm.Encode(u)
+		u2, err := asm.Decode(enc)
+		if err != nil {
+			t.Fatalf("re-decode of a verified unit failed: %v", err)
+		}
+		if err := asm.Verify(u2); err != nil {
+			t.Fatalf("re-decoded unit fails verification: %v", err)
+		}
+		if !bytes.Equal(asm.Encode(u2), enc) {
+			t.Fatal("encoding of a verified unit is not stable")
+		}
+	})
 }

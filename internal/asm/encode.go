@@ -147,13 +147,32 @@ func (d *decoder) varint() (int64, error) {
 	return v, nil
 }
 
+// count reads the length of a sequence stored next in the input. Every
+// element takes at least one byte, so a count above the bytes left is
+// rejected before anything is allocated for it: otherwise a few bytes
+// declaring millions of elements make Decode allocate gigabytes before
+// it runs out of input.
 func (d *decoder) count(what string) (int, error) {
 	v, err := d.uvarint()
 	if err != nil {
 		return 0, err
 	}
+	if left := len(d.data) - d.pos; v > uint64(left) {
+		return 0, fmt.Errorf("asm: %s count %d exceeds the %d bytes left", what, v, left)
+	}
+	return int(v), nil
+}
+
+// size reads a frame-layout number (free variables, parameters,
+// locals). It sizes no sequence in the input, so only MaxCodeSize
+// bounds it.
+func (d *decoder) size(what string) (int, error) {
+	v, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
 	if v > MaxCodeSize {
-		return 0, fmt.Errorf("asm: %s count %d exceeds limit", what, v)
+		return 0, fmt.Errorf("asm: %s %d exceeds limit", what, v)
 	}
 	return int(v), nil
 }
@@ -162,9 +181,6 @@ func (d *decoder) str() (string, error) {
 	n, err := d.count("string")
 	if err != nil {
 		return "", err
-	}
-	if d.pos+n > len(d.data) {
-		return "", fmt.Errorf("asm: truncated string at offset %d", d.pos)
 	}
 	s := string(d.data[d.pos : d.pos+n])
 	d.pos += n
@@ -313,7 +329,7 @@ func Decode(data []byte) (*Unit, error) {
 	}
 	u.Groups = make([]DefGroup, n)
 	for i := range u.Groups {
-		nf, err := d.count("group free")
+		nf, err := d.size("group free")
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +348,7 @@ func Decode(data []byte) (*Unit, error) {
 			if err != nil {
 				return nil, err
 			}
-			np, err := d.count("class params")
+			np, err := d.size("class params")
 			if err != nil {
 				return nil, err
 			}
@@ -349,13 +365,13 @@ func Decode(data []byte) (*Unit, error) {
 		if b.Name, err = d.str(); err != nil {
 			return nil, err
 		}
-		if b.NFree, err = d.count("free"); err != nil {
+		if b.NFree, err = d.size("free"); err != nil {
 			return nil, err
 		}
-		if b.NParams, err = d.count("params"); err != nil {
+		if b.NParams, err = d.size("params"); err != nil {
 			return nil, err
 		}
-		if b.NLocals, err = d.count("locals"); err != nil {
+		if b.NLocals, err = d.size("locals"); err != nil {
 			return nil, err
 		}
 		m, err := d.count("instructions")

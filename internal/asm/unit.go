@@ -97,6 +97,11 @@ type Unit struct {
 	// Entry is the index of the block to run at load time; -1 for
 	// code-only units (shipped objects/classes).
 	Entry int
+	// Encoded, when set, is Encode(u), computed once by whoever built
+	// the unit (a site's extraction memo) so that every ship of it sends
+	// the same bytes without re-encoding. A unit carrying it is
+	// immutable and may be shared between goroutines.
+	Encoded []byte
 }
 
 // LabelIndex returns the index of label s in the pool, interning it if

@@ -31,8 +31,9 @@ func appletBody(size int) string {
 // Expected shape: for a single use the two strategies are comparable
 // (one code movement either way); for repeated instantiation fetch
 // wins once the class is cached (later uses are pure local
-// instantiations), while shipping pays the movement every time — and
-// disabling the fetch cache restores the per-use cost. Larger applets
+// instantiations), while shipping moves the code every time — though
+// the client links it only on the first arrival — and disabling the
+// fetch cache restores a fetch and a link per use. Larger applets
 // cost proportionally more to move on slower links.
 func E4(o Options) (*Table, error) {
 	uses := o.scale(50, 8)
@@ -60,10 +61,10 @@ in Use[%d]`, uses)
 	t := &Table{
 		ID:     "E4",
 		Title:  "applet delivery: fetch vs ship, cache ablation, code size",
-		Header: []string{"strategy", "uses", "moved units", "total", "us/use"},
+		Header: []string{"strategy", "uses", "code arrivals", "links", "total", "us/use"},
 		Notes: []string{
-			"moved units = mobile code units linked by the client",
-			"shape: fetch+cache amortizes to local instantiation; ship and fetch-nocache pay per use",
+			"code arrivals = mobile code units the client received; links = those it decoded and linked",
+			"shape: fetch+cache moves and links the class once; ship moves code per use but links it once; fetch-nocache moves and links per use",
 		},
 	}
 
@@ -90,12 +91,14 @@ in Use[%d]`, uses)
 			return nil, fmt.Errorf("E4 %s: %w", c.name, err)
 		}
 		client, _ := cl.Node(1).SiteByName("client")
-		moved := client.UnitsLinked - 1 // the client's own program
+		links := client.UnitsLinked - 1 // the client's own program
+		arrivals := links + client.LinkCacheHits
 		cl.Stop()
 		t.Rows = append(t.Rows, []string{
 			c.name,
 			fmt.Sprintf("%d", uses),
-			fmt.Sprintf("%d", moved),
+			fmt.Sprintf("%d", arrivals),
+			fmt.Sprintf("%d", links),
 			elapsed.Round(time.Microsecond).String(),
 			us(elapsed / time.Duration(uses)),
 		})
@@ -122,6 +125,7 @@ in Use[%d]`, uses)
 			cl.Stop()
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("fetch-once/%s sz=%d", prof, sz),
+				"1",
 				"1",
 				"1",
 				elapsed.Round(time.Microsecond).String(),

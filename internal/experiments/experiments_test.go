@@ -54,15 +54,19 @@ func TestE4CacheInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range table.Rows {
+		uses, arrivals, links := row[1], row[2], row[3]
 		switch row[0] {
 		case "fetch (cached)":
-			if row[2] != "1" {
-				t.Fatalf("cached fetch moved %s units", row[2])
+			if arrivals != "1" || links != "1" {
+				t.Fatalf("cached fetch: %s code arrivals, %s links; want 1 and 1", arrivals, links)
 			}
-		case "fetch (no cache)", "ship":
-			moved, err := strconv.Atoi(row[2])
-			if err != nil || moved < 2 {
-				t.Fatalf("%s moved %s units; expected one per use", row[0], row[2])
+		case "fetch (no cache)":
+			if arrivals != uses || links != uses {
+				t.Fatalf("uncached fetch: %s code arrivals, %s links; want one each per use (%s)", arrivals, links, uses)
+			}
+		case "ship":
+			if arrivals != uses || links != "1" {
+				t.Fatalf("ship: %s code arrivals, %s links; want one arrival per use (%s) and one link", arrivals, links, uses)
 			}
 		}
 	}

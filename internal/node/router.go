@@ -47,15 +47,15 @@ func (n *Node) RouteMsg(from *site.Site, op wire.OpRef, ref vm.NetRef, label str
 func (n *Node) RouteObj(from *site.Site, op wire.OpRef, ref vm.NetRef, unit *asm.Unit, table int, frame []site.WireVal) error {
 	trace := from.CurrentTrace()
 	deadline := from.CurrentDeadline()
+	// The sending site encoded the unit once, when it first extracted
+	// it (unit.Encoded); every ship of it reuses those bytes, and the
+	// same-node path hands them over as they are.
+	o := wire.Obj{Op: op, To: ref, Unit: unit.Encoded, Table: table, Frame: frame}
 	n.tel.Ship(trace, wire.FObj, op, ref.Node)
 	if ref.Node == n.cfg.ID {
-		payload := func() []byte {
-			return (&wire.Obj{Op: op, To: ref, Unit: asm.Encode(unit), Table: table, Frame: frame}).Encode()
-		}
-		d := site.Delivery{Op: op, Trace: trace, Deadline: deadline, Obj: &site.ObjDelivery{Heap: ref.Heap, Unit: unit, Table: table, Frame: frame}}
-		return n.toLocal(ref.Site, d, wire.FObj, payload, true)
+		d := site.Delivery{Op: op, Trace: trace, Deadline: deadline, Obj: &site.ObjDelivery{Heap: ref.Heap, Code: unit.Encoded, Table: table, Frame: frame}}
+		return n.toLocal(ref.Site, d, wire.FObj, o.Encode, true)
 	}
-	o := wire.Obj{Op: op, To: ref, Unit: asm.Encode(unit), Table: table, Frame: frame}
 	return n.coal.enqueue(ref.Node, wire.FObj, trace, deadline, o.AppendPayload)
 }
 

@@ -2,6 +2,7 @@ package site
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -220,6 +221,41 @@ func (s *Site) ingressVals(dst []vm.Value, ws []wire.Value, linked *vm.Linked) (
 	return dst, nil
 }
 
+// linkCode returns the placement of an object's code, decoding,
+// verifying and linking it on the first arrival of its bytes only. A
+// later arrival of the same bytes reuses that placement: a unit's
+// blocks, tables and constants are fixed by its bytes, ingressConst of
+// them gives the same values every time (export ids are never
+// renumbered), and the program area is append-only, so a fresh link
+// would rebuild exactly the earlier placement. The key is the bytes
+// themselves, not a hash of them, so a collision cannot run the wrong
+// code.
+func (s *Site) linkCode(code []byte) (*vm.Linked, error) {
+	if linked, ok := s.linked[string(code)]; ok {
+		s.LinkCacheHits++
+		return linked, nil
+	}
+	u, err := asm.Decode(code)
+	if err != nil {
+		return nil, fmt.Errorf("site %s: rejecting mobile code: %w", s.cfg.Name, err)
+	}
+	linked, err := s.linkIncoming(u)
+	if err != nil {
+		return nil, err
+	}
+	s.remember(string(code), linked)
+	return linked, nil
+}
+
+// remember adds a linked unit to the link cache.
+func (s *Site) remember(code string, linked *vm.Linked) {
+	if s.linked == nil {
+		s.linked = map[string]*vm.Linked{}
+	}
+	s.linked[code] = linked
+	s.linkOrder = append(s.linkOrder, code)
+}
+
 // linkIncoming verifies and links a mobile code unit, translating its
 // constants on the way in.
 func (s *Site) linkIncoming(u *asm.Unit) (*vm.Linked, error) {
@@ -330,25 +366,69 @@ func (s *Site) RemoteSend(ref vm.NetRef, label string, args []vm.Value) error {
 // (method-table closure plus any class groups captured in its frame),
 // σ-translate the frame, and ship both.
 func (s *Site) RemoteObj(ref vm.NetRef, table int, frame []vm.Value) error {
-	groups := map[int]bool{}
-	s.classGroups(frame, groups)
-	rootGroups := make([]int, 0, len(groups))
-	for g := range groups {
-		rootGroups = append(rootGroups, g)
-	}
-	// Deterministic extraction order: replay must produce a
-	// byte-identical unit, and rootGroups comes from a map.
-	slices.Sort(rootGroups)
-	unit, reloc, err := s.prog.Extract([]int{table}, rootGroups, s.egressConst)
+	ex, err := s.extractObj(table, frame)
 	if err != nil {
 		return err
 	}
-	wf, err := s.egressVals(nil, frame, reloc)
+	wf, err := s.egressVals(nil, frame, ex.reloc)
 	if err != nil {
 		return err
 	}
 	s.countSent(ref.Node)
-	return s.cfg.Router.RouteObj(s, s.newOp(ref.Site), ref, unit, reloc.Tables[table], wf)
+	return s.cfg.Router.RouteObj(s, s.newOp(ref.Site), ref, ex.unit, ex.reloc.Tables[table], wf)
+}
+
+// extractKey names one object extraction: the method table and the
+// class groups captured in the frame, sorted and packed as uvarints
+// ("" when the frame captures no class).
+type extractKey struct {
+	table  int
+	groups string
+}
+
+// extraction is a memoised extraction: the shippable unit, with its
+// encoding set, and the program → unit relocation.
+type extraction struct {
+	unit  *asm.Unit
+	reloc *asm.Relocation
+}
+
+// extractObj returns the unit an object ships as, extracting and
+// encoding it once per (table, groups). Extraction is a function of
+// the program area, which is append-only, and of the export table,
+// whose ids are never renumbered; the one input that does change is a
+// pending import, and an extraction over one fails (egressConst
+// refuses it) and is not remembered. The root groups are sorted so
+// that the extraction, and the key, do not depend on map order: a
+// replayed incarnation, which starts with an empty memo, must
+// re-extract the same bytes.
+func (s *Site) extractObj(table int, frame []vm.Value) (extraction, error) {
+	key := extractKey{table: table}
+	var rootGroups []int
+	if slices.ContainsFunc(frame, func(v vm.Value) bool { return v.Kind == vm.KClass }) {
+		groups := map[int]bool{}
+		s.classGroups(frame, groups)
+		rootGroups = sortedKeys(groups)
+		var packed []byte
+		for _, g := range rootGroups {
+			packed = binary.AppendUvarint(packed, uint64(g))
+		}
+		key.groups = string(packed)
+	}
+	if ex, ok := s.extracted[key]; ok {
+		return ex, nil
+	}
+	unit, reloc, err := s.prog.Extract([]int{table}, rootGroups, s.egressConst)
+	if err != nil {
+		return extraction{}, err
+	}
+	unit.Encoded = asm.Encode(unit)
+	ex := extraction{unit: unit, reloc: reloc}
+	if s.extracted == nil {
+		s.extracted = map[extractKey]extraction{}
+	}
+	s.extracted[key] = ex
+	return ex, nil
 }
 
 // RemoteInst implements rule FETCH from the requesting side: resolve
@@ -420,14 +500,9 @@ func (s *Site) serveFetch(f *FetchDelivery) error {
 	captured := v.Frame[:nfree]
 	groups := map[int]bool{gi: true}
 	s.classGroups(captured, groups)
-	rootGroups := make([]int, 0, len(groups))
-	for g := range groups {
-		rootGroups = append(rootGroups, g)
-	}
-	// Sorted for the same reason as in RemoteObj: replayed extractions
+	// Sorted for the same reason as in extractObj: replayed extractions
 	// must be byte-identical.
-	slices.Sort(rootGroups)
-	unit, reloc, err := s.prog.Extract(nil, rootGroups, s.egressConst)
+	unit, reloc, err := s.prog.Extract(nil, sortedKeys(groups), s.egressConst)
 	if err != nil {
 		return fail(err.Error())
 	}

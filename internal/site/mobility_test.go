@@ -2,6 +2,7 @@ package site_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func (l *loopRouter) RouteMsg(from *site.Site, op wire.OpRef, ref vm.NetRef, lab
 }
 func (l *loopRouter) RouteObj(from *site.Site, op wire.OpRef, ref vm.NetRef, unit *asm.Unit, table int, frame []site.WireVal) error {
 	dst := l.sites[ref.Site]
-	return dst.Deliver(site.Delivery{Op: op, Obj: &site.ObjDelivery{Heap: ref.Heap, Unit: unit, Table: table, Frame: frame}})
+	return dst.Deliver(site.Delivery{Op: op, Obj: &site.ObjDelivery{Heap: ref.Heap, Code: unit.Encoded, Table: table, Frame: frame}})
 }
 func (l *loopRouter) RouteFetch(from *site.Site, op wire.OpRef, owner site.Addr, class string, reqID uint64) error {
 	dst := l.sites[owner.Site]
@@ -46,39 +47,49 @@ func (l *loopRouter) RouteFetchRep(from *site.Site, op wire.OpRef, to site.Addr,
 // twoSites stands up a connected pair running the given programs.
 func twoSites(t *testing.T, srcA, srcB string) (*site.Site, *site.Site, *testutil.Buf, *testutil.Buf, func()) {
 	t.Helper()
+	ss, outs, cleanup := connectedSites(t, srcA, srcB)
+	return ss[0], ss[1], outs[0], outs[1], cleanup
+}
+
+// connectedSites stands up sites alpha, beta, gamma (ids 1, 2, 3), as
+// many as there are programs, connected by one loopRouter.
+func connectedSites(t *testing.T, srcs ...string) ([]*site.Site, []*testutil.Buf, func()) {
+	t.Helper()
 	ns := nameservice.NewCentral()
 	router := &loopRouter{sites: map[uint32]*site.Site{}}
-	outA, outB := &testutil.Buf{}, &testutil.Buf{}
-	mk := func(name string, id uint32, src string, out *testutil.Buf) *site.Site {
-		prog, err := node.CompileSubmission(name, src)
+	names := []string{"alpha", "beta", "gamma"}
+	var ss []*site.Site
+	var outs []*testutil.Buf
+	for i, src := range srcs {
+		prog, err := node.CompileSubmission(names[i], src)
 		if err != nil {
-			t.Fatalf("compile %s: %v", name, err)
+			t.Fatalf("compile %s: %v", names[i], err)
 		}
-		s := site.New(site.Config{Name: name, ID: id, NodeID: 1, NS: ns, Router: router, Out: out,
+		out := &testutil.Buf{}
+		s := site.New(site.Config{Name: names[i], ID: uint32(i + 1), NodeID: 1, NS: ns, Router: router, Out: out,
 			ImportTimeout: 10 * time.Second})
 		router.add(s)
 		if err := s.Load(prog); err != nil {
 			t.Fatal(err)
 		}
-		return s
+		ss = append(ss, s)
+		outs = append(outs, out)
 	}
-	a := mk("alpha", 1, srcA, outA)
-	b := mk("beta", 2, srcB, outB)
-	go a.Run()
-	go b.Run()
+	for _, s := range ss {
+		go s.Run()
+	}
 	cleanup := func() {
-		a.Stop()
-		b.Stop()
-		<-a.Done()
-		<-b.Done()
-		if a.Err() != nil {
-			t.Errorf("site alpha: %v", a.Err())
+		for _, s := range ss {
+			s.Stop()
 		}
-		if b.Err() != nil {
-			t.Errorf("site beta: %v", b.Err())
+		for _, s := range ss {
+			<-s.Done()
+			if s.Err() != nil {
+				t.Errorf("site %s: %v", s.Name(), s.Err())
+			}
 		}
 	}
-	return a, b, outA, outB, cleanup
+	return ss, outs, cleanup
 }
 
 func TestMobilityRemoteMessage(t *testing.T) {
@@ -214,5 +225,67 @@ func TestMobilityFetchUnknownClassFaults(t *testing.T) {
 	waitSite(t, func() bool { return b.Err() != nil })
 	if !strings.Contains(b.Err().Error(), "exports no class") {
 		t.Fatalf("err = %v", b.Err())
+	}
+}
+
+// appletServerSrc ships an applet object on every get.
+const appletServerSrc = `
+def AppletServer(self) = self ? { get(p) = (p?(n, r) = r![n + 1]) | AppletServer[self] }
+in export new appletserver AppletServer[appletserver]`
+
+// TestMobilityShippedCodeLinksOnce: a client that receives the same
+// applet n times decodes and links it once; every later arrival is a
+// link-cache hit, and the client's program area stops growing after the
+// first arrival.
+func TestMobilityShippedCodeLinksOnce(t *testing.T) {
+	blocks := map[int]int{}
+	for _, n := range []int{1, 8} {
+		_, b, _, outB, cleanup := twoSites(t, appletServerSrc, fmt.Sprintf(`
+import appletserver from alpha in
+def Use(k) = if k == 0 then println("done")
+             else new p (appletserver!get[p] | new r (p![k, r] | r?(v) = Use[k - 1]))
+in Use[%d]`, n))
+		waitSite(t, func() bool { return outB.String() == "done\n" })
+		cleanup() // after Done the counters and program are safe to read
+		if b.UnitsLinked != 2 || b.LinkCacheHits != uint64(n-1) {
+			t.Errorf("%d arrivals: %d units linked (own program included), %d cache hits; want 2 and %d",
+				n, b.UnitsLinked, b.LinkCacheHits, n-1)
+		}
+		blocks[n] = len(b.Machine().Prog.Blocks)
+	}
+	if blocks[8] != blocks[1] {
+		t.Errorf("program area: %d blocks after 1 arrival, %d after 8", blocks[1], blocks[8])
+	}
+}
+
+// TestMobilityDistinctCodeLinksSeparately: alpha and gamma run the same
+// program, whose applet code reaches its home channel through an
+// import — a constant naming its own site. The two applets therefore
+// differ in their bytes, link separately at beta, and each later arrival
+// reuses the placement of its own bytes: every value lands at the home
+// of the site that shipped it.
+func TestMobilityDistinctCodeLinksSeparately(t *testing.T) {
+	server := func(name string) string {
+		return fmt.Sprintf(`
+def Home(self) = self ? { val(v) = (println("home heard", v) | Home[self]), ping(r) = (r![0] | Home[self]) }
+in export new home (Home[home] |
+  import home from %s in
+  def Server(self) = self ? { get(p) = (p?(x) = home![x]) | Server[self] }
+  in let z = home!ping[] in export new svc Server[svc])`, name)
+	}
+	ss, outs, cleanup := connectedSites(t, server("alpha"), `
+(import svc from alpha in new p (svc!get[p] | p![1]) | new p (svc!get[p] | p![3])) |
+(import svc from gamma in new p (svc!get[p] | p![2]) | new p (svc!get[p] | p![4]))`, server("gamma"))
+	heard := func(out *testutil.Buf, a, b int) bool {
+		return strings.Contains(out.String(), fmt.Sprintf("home heard %d", a)) &&
+			strings.Contains(out.String(), fmt.Sprintf("home heard %d", b))
+	}
+	waitSite(t, func() bool { return heard(outs[0], 1, 3) && heard(outs[2], 2, 4) })
+	cleanup()
+	if got := outs[0].String() + outs[2].String(); strings.Count(got, "home heard") != 4 {
+		t.Errorf("homes heard %q, want each value once", got)
+	}
+	if b := ss[1]; b.UnitsLinked != 3 || b.LinkCacheHits != 2 {
+		t.Errorf("beta linked %d units (own program included) with %d cache hits; want 3 and 2", b.UnitsLinked, b.LinkCacheHits)
 	}
 }

@@ -322,7 +322,7 @@ func (s *Site) encodeDelivery(d Delivery) ([]byte, error) {
 		kind = byte(wire.FObj)
 		to := self
 		to.Heap = d.Obj.Heap
-		(&wire.Obj{Op: d.Op, To: to, Unit: asm.Encode(d.Obj.Unit), Table: d.Obj.Table, Frame: d.Obj.Frame}).AppendPayload(b)
+		(&wire.Obj{Op: d.Op, To: to, Unit: d.Obj.Code, Table: d.Obj.Table, Frame: d.Obj.Frame}).AppendPayload(b)
 	case d.Fetch != nil:
 		kind = byte(wire.FFetchReq)
 		(&wire.FetchReq{
@@ -467,15 +467,13 @@ func DecodePayload(t wire.FrameType, srcNode uint32, payload []byte) (Delivery, 
 		}
 		return Delivery{Src: srcNode, Op: m.Op, Msg: &MsgDelivery{Heap: m.To.Heap, Label: m.Label, Args: m.Args}}, m.To.Site, nil
 	case wire.FObj:
-		o, err := wire.DecodeObj(payload)
-		if err != nil {
+		// The code stays bytes (sub-slicing payload): the site decodes
+		// it only if it has not linked the same bytes before.
+		var o wire.Obj
+		if err := wire.DecodeObjInto(&o, payload); err != nil {
 			return Delivery{}, 0, err
 		}
-		u, err := asm.Decode(o.Unit)
-		if err != nil {
-			return Delivery{}, 0, fmt.Errorf("migrated object: %w", err)
-		}
-		return Delivery{Src: srcNode, Op: o.Op, Obj: &ObjDelivery{Heap: o.To.Heap, Unit: u, Table: o.Table, Frame: o.Frame}}, o.To.Site, nil
+		return Delivery{Src: srcNode, Op: o.Op, Obj: &ObjDelivery{Heap: o.To.Heap, Code: o.Unit, Table: o.Table, Frame: o.Frame}}, o.To.Site, nil
 	case wire.FFetchReq:
 		f, err := wire.DecodeFetchReq(payload)
 		if err != nil {
@@ -703,6 +701,19 @@ func (s *Site) encodeOverlay(w *vm.SnapWriter) {
 		w.Value(s.fetchCache[nc])
 	}
 
+	// The link cache in link order: each unit's bytes and the placement
+	// its link got (unit, entry, then where its tables and groups went —
+	// all a later arrival of the same bytes needs).
+	w.U(uint64(len(s.linkOrder)))
+	for _, code := range s.linkOrder {
+		l := s.linked[code]
+		w.S(code)
+		w.U(uint64(l.Unit))
+		w.V(int64(l.Entry))
+		writePlacements(w, l.Reloc.Tables)
+		writePlacements(w, l.Reloc.Groups)
+	}
+
 	w.U(s.nextReq)
 
 	w.U(uint64(len(s.peers)))
@@ -724,6 +735,7 @@ func (s *Site) encodeOverlay(w *vm.SnapWriter) {
 	w.U(s.UnitsLinked)
 	w.U(s.ClassesFetched)
 	w.U(s.FetchCacheHits)
+	w.U(s.LinkCacheHits)
 	w.U(s.DupDrops)
 	w.U(s.StaleDrops)
 
@@ -773,6 +785,22 @@ func (s *Site) decodeOverlay(r *vm.SnapReader) error {
 		s.fetchCache[nc] = r.Value()
 	}
 
+	s.linked, s.linkOrder = nil, nil
+	for i, n := 0, r.Count("linked units"); i < n; i++ {
+		code := r.S()
+		l := &vm.Linked{Unit: int(r.U()), Entry: int(r.V()), Reloc: &asm.Relocation{
+			Tables: readPlacements(r, "linked tables"),
+			Groups: readPlacements(r, "linked groups"),
+		}}
+		if err := s.checkPlacement(l); err != nil {
+			return fmt.Errorf("site: checkpoint: linked unit %d: %w", i, err)
+		}
+		if _, dup := s.linked[code]; dup {
+			return fmt.Errorf("site: checkpoint: linked unit %d repeats an earlier one", i)
+		}
+		s.remember(code, l)
+	}
+
 	s.nextReq = r.U()
 
 	s.peers = map[uint32]*peerOps{}
@@ -795,6 +823,7 @@ func (s *Site) decodeOverlay(r *vm.SnapReader) error {
 	s.UnitsLinked = r.U()
 	s.ClassesFetched = r.U()
 	s.FetchCacheHits = r.U()
+	s.LinkCacheHits = r.U()
 	s.DupDrops = r.U()
 	s.StaleDrops = r.U()
 
@@ -809,6 +838,48 @@ func (s *Site) decodeOverlay(r *vm.SnapReader) error {
 		s.pendingImports[idx] = pi
 	}
 	return r.Err()
+}
+
+// writePlacements writes a link relocation (unit index i → program
+// index m[i], for i = 0 … len(m)-1: a link places every table or group
+// of the unit).
+func writePlacements(w *vm.SnapWriter, m map[int]int) {
+	w.U(uint64(len(m)))
+	for i := range len(m) {
+		w.U(uint64(m[i]))
+	}
+}
+
+func readPlacements(r *vm.SnapReader, what string) map[int]int {
+	n := r.Count(what)
+	m := make(map[int]int, n)
+	for i := range n {
+		m[i] = int(r.U())
+	}
+	return m
+}
+
+// checkPlacement rejects a restored link placement that points outside
+// the restored program area.
+func (s *Site) checkPlacement(l *vm.Linked) error {
+	p := s.prog
+	if l.Unit < 0 || l.Unit >= p.Units() {
+		return fmt.Errorf("unit %d outside the %d linked", l.Unit, p.Units())
+	}
+	if l.Entry < -1 || l.Entry >= len(p.Blocks) {
+		return fmt.Errorf("entry block %d outside the %d blocks", l.Entry, len(p.Blocks))
+	}
+	for _, t := range l.Reloc.Tables {
+		if t < 0 || t >= len(p.Tables) {
+			return fmt.Errorf("table %d outside the %d tables", t, len(p.Tables))
+		}
+	}
+	for _, g := range l.Reloc.Groups {
+		if g < 0 || g >= len(p.Groups) {
+			return fmt.Errorf("group %d outside the %d groups", g, len(p.Groups))
+		}
+	}
+	return nil
 }
 
 // sortedKeys returns m's keys in ascending order.

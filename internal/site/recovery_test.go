@@ -1,6 +1,7 @@
 package site_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -79,6 +80,15 @@ func TestEpochFencingAndDedup(t *testing.T) {
 // epoch, the way a node supervisor does.
 func recoverSite(t *testing.T, f journal.Factory, ns nameservice.Service, name string, out *testutil.Buf, ckptEvery int) *site.Site {
 	t.Helper()
+	s := restoredSite(t, f, ns, name, out, ckptEvery)
+	go s.Run()
+	return s
+}
+
+// restoredSite is recoverSite without the Run goroutine: the restore
+// happens in the caller's first Turn.
+func restoredSite(t *testing.T, f journal.Factory, ns nameservice.Service, name string, out *testutil.Buf, ckptEvery int) *site.Site {
+	t.Helper()
 	st, err := f.Open(name)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +109,6 @@ func recoverSite(t *testing.T, f journal.Factory, ns nameservice.Service, name s
 		Epoch:         epoch, Journal: jl, CheckpointEvery: ckptEvery,
 	})
 	s.SetRestore(rec)
-	go s.Run()
 	return s
 }
 
@@ -358,5 +367,96 @@ func BenchmarkCheckpoint(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// checkpointData returns the data of the log's checkpoint record.
+func checkpointData(t *testing.T, st journal.Store) []byte {
+	t.Helper()
+	recs, err := st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Kind == site.RecCheckpoint {
+			return rec.Data
+		}
+	}
+	t.Fatal("no checkpoint in the log")
+	return nil
+}
+
+// TestLinkCacheSurvivesRecovery: a journaled client that received
+// shipped objects is killed and restored, once from its checkpoint and
+// once by replaying its delivery log. Either way the restored site's
+// next checkpoint is byte-identical to the dead incarnation's — link
+// cache included — and a post-restore arrival of the same code is a
+// cache hit, not a second link.
+func TestLinkCacheSurvivesRecovery(t *testing.T) {
+	a := shippedApplet(t, 31)
+	f := journal.NewMemFactory()
+	st, err := f.Open("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, p := turnSite(t, "client", appletClientSrc, "p", site.Config{Journal: site.NewJournal(st), CheckpointEvery: 1000})
+	ds := arrivals(a, p, 4)
+	for _, d := range ds[:6] {
+		serve(t, c, d)
+	}
+	if c.UnitsLinked != 2 || c.LinkCacheHits != 2 {
+		t.Fatalf("before the crash: %d units linked, %d cache hits; want 2 and 2", c.UnitsLinked, c.LinkCacheHits)
+	}
+	deliveryLog, err := st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := checkpointData(t, st)
+	checkpointed, err := st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Kill(errors.New("injected fault"))
+	c.Turn()
+
+	for _, tc := range []struct {
+		name string
+		log  []journal.Record
+	}{{"from the checkpoint", checkpointed}, {"by replay", deliveryLog}} {
+		rf := journal.NewMemFactory()
+		rst, err := rf.Open("client")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range tc.log {
+			if err := rst.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := restoredSite(t, rf, nameservice.NewCentral(), "client", &testutil.Buf{}, 1000)
+		for r.Turn() == site.TurnMore {
+		}
+		if err := r.Err(); err != nil {
+			t.Fatalf("restore %s: %v", tc.name, err)
+		}
+		if err := r.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := checkpointData(t, rst); !bytes.Equal(got, want) {
+			t.Errorf("restore %s: next checkpoint differs from the dead incarnation's (%d vs %d bytes)", tc.name, len(got), len(want))
+		}
+		serve(t, r, ds[6])
+		serve(t, r, ds[7])
+		if r.UnitsLinked != 2 || r.LinkCacheHits != 3 {
+			t.Errorf("restore %s: after one more arrival %d units linked, %d cache hits; want 2 and 3", tc.name, r.UnitsLinked, r.LinkCacheHits)
+		}
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		r.Stop()
+		r.Turn()
 	}
 }

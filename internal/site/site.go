@@ -99,11 +99,13 @@ type MsgDelivery struct {
 	Args  []WireVal
 }
 
-// ObjDelivery is an incoming object migration.
+// ObjDelivery is an incoming object migration. Its code travels as
+// bytes: the receiving site decodes and links each distinct unit once
+// and reuses that placement for every later arrival of the same bytes.
 type ObjDelivery struct {
 	Heap  uint32
-	Unit  *asm.Unit
-	Table int // table index within Unit
+	Code  []byte // the unit's canonical encoding (asm.Encode)
+	Table int    // table index within the unit
 	Frame []WireVal
 }
 
@@ -316,6 +318,17 @@ type Site struct {
 	fetchCache   map[vm.NetClass]vm.Value
 	fetchRng     uint64 // jitter state for overload-pushback re-fetch backoff
 
+	// Code moves once (mobility.go). linked maps the exact bytes of
+	// every distinct unit that arrived in an object to the placement its
+	// one link got; linkOrder holds the same keys in link order, the
+	// order the checkpoint overlay writes them in. extracted memoises
+	// the sender side: the unit (encoding included) and relocation each
+	// shipped (method table, captured class groups) extracted to. All
+	// three stay nil until code first moves.
+	linked    map[string]*vm.Linked
+	linkOrder []string
+	extracted map[extractKey]extraction
+
 	// Scratch buffers for the σ-translation of message arguments, each
 	// consumed within the call that fills it (site goroutine only).
 	egress  []wire.Value
@@ -344,6 +357,9 @@ type Site struct {
 	UnitsLinked    uint64
 	ClassesFetched uint64
 	FetchCacheHits uint64
+	// LinkCacheHits counts object arrivals whose code was already
+	// linked here: each costs a map lookup instead of a decode and link.
+	LinkCacheHits uint64
 	// DupDrops counts mobility operations dropped because their
 	// (site, id) was already applied — retransmissions and recovery
 	// re-sends. StaleDrops counts operations fenced for carrying an
@@ -1074,7 +1090,7 @@ func (s *Site) apply(d Delivery) error {
 		if !ok {
 			return fmt.Errorf("site %s: object for unknown heap id %d", s.cfg.Name, d.Obj.Heap)
 		}
-		linked, err := s.linkIncoming(d.Obj.Unit)
+		linked, err := s.linkCode(d.Obj.Code)
 		if err != nil {
 			return err
 		}

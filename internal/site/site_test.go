@@ -2,6 +2,7 @@ package site_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -129,7 +130,7 @@ func TestSiteRejectsInvalidMobileCode(t *testing.T) {
 		Blocks: []asm.Block{{Name: "b", Code: []asm.Instr{{Op: asm.LdLoc, A: 999}}}},
 		Tables: []asm.MethodTable{{Labels: []int{0}, Blocks: []int{0}}},
 		Labels: []string{"val"}}
-	if err := s.Deliver(site.Delivery{Obj: &site.ObjDelivery{Heap: 1, Unit: bad, Table: 0}}); err != nil {
+	if err := s.Deliver(site.Delivery{Obj: &site.ObjDelivery{Heap: 1, Code: asm.Encode(bad), Table: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	waitSite(t, func() bool { return s.Err() != nil })
@@ -238,22 +239,32 @@ func rpcServer(tb testing.TB) (*site.Site, uint32) {
 // journaledRPCServer is rpcServer writing ahead to st (nil = no
 // journal) and checkpointing every ckptEvery deliveries.
 func journaledRPCServer(tb testing.TB, st journal.Store, ckptEvery int) (*site.Site, uint32) {
-	tb.Helper()
-	var jl *site.Journal
+	cfg := site.Config{CheckpointEvery: ckptEvery}
 	if st != nil {
-		jl = site.NewJournal(st)
+		cfg.Journal = site.NewJournal(st)
 	}
-	ns := nameservice.NewCentral()
-	prog, err := node.CompileSubmission("server", `
+	return turnSite(tb, "server", `
 def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p])
-in export new p Serve[p]`)
+in export new p Serve[p]`, "p", cfg)
+}
+
+// turnSite loads src into site 1 of a private name service, configured
+// by cfg's journal, checkpoint and router fields (router default: a
+// fakeRouter), and turns it until idle — no Run goroutine: the caller
+// drives it with Turn. It returns the site and the heap id it exported
+// name under.
+func turnSite(tb testing.TB, siteName, src, name string, cfg site.Config) (*site.Site, uint32) {
+	tb.Helper()
+	ns := nameservice.NewCentral()
+	prog, err := node.CompileSubmission(siteName, src)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := site.New(site.Config{
-		Name: "server", ID: 1, NodeID: 1, NS: ns, Router: &fakeRouter{},
-		Journal: jl, CheckpointEvery: ckptEvery,
-	})
+	cfg.Name, cfg.ID, cfg.NodeID, cfg.NS = siteName, 1, 1, ns
+	if cfg.Router == nil {
+		cfg.Router = &fakeRouter{}
+	}
+	s := site.New(cfg)
 	if err := s.Load(prog); err != nil {
 		tb.Fatal(err)
 	}
@@ -261,7 +272,7 @@ in export new p Serve[p]`)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	ref, _, err := ns.LookupName(ctx, "server", "p")
+	ref, _, err := ns.LookupName(ctx, siteName, name)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -355,6 +366,132 @@ func BenchmarkTurnDelivery(b *testing.B) {
 		serve(b, s, call(heap, i))
 	}
 	if err := s.Err(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// shipRouter drops what a site routes out, keeping the last object it
+// shipped.
+type shipRouter struct {
+	unit  *asm.Unit
+	table int
+	frame []site.WireVal
+}
+
+func (r *shipRouter) RouteMsg(*site.Site, wire.OpRef, vm.NetRef, string, []site.WireVal) error {
+	return nil
+}
+func (r *shipRouter) RouteObj(_ *site.Site, _ wire.OpRef, _ vm.NetRef, unit *asm.Unit, table int, frame []site.WireVal) error {
+	r.unit, r.table, r.frame = unit, table, frame
+	return nil
+}
+func (r *shipRouter) RouteFetch(*site.Site, wire.OpRef, site.Addr, string, uint64) error { return nil }
+func (r *shipRouter) RouteFetchRep(*site.Site, wire.OpRef, site.Addr, *site.FetchRepDelivery) error {
+	return nil
+}
+
+// shippedApplet returns what an applet server ships for one get: an
+// object whose single method sums terms constants into its reply, about
+// two instructions per term.
+func shippedApplet(tb testing.TB, terms int) *shipRouter {
+	tb.Helper()
+	var body strings.Builder
+	body.WriteString("r![n")
+	for i := 0; i < terms; i++ {
+		fmt.Fprintf(&body, " + %d", 1+i%9)
+	}
+	body.WriteString("]")
+	r := &shipRouter{}
+	s, heap := turnSite(tb, "applets", fmt.Sprintf(`
+def AppletServer(self) = self ? { get(p) = (p?(n, r) = %s) | AppletServer[self] }
+in export new appletserver AppletServer[appletserver]`, body.String()), "appletserver", site.Config{Router: r})
+	serve(tb, s, site.Delivery{Src: 2, Op: wire.OpRef{Site: 2, Epoch: 1, ID: 1},
+		Msg: &site.MsgDelivery{Heap: heap, Label: "get", Args: []wire.Value{{Kind: wire.WNet, Net: vm.NetRef{Heap: 9, Site: 2, Node: 2}}}}})
+	if r.unit == nil {
+		tb.Fatalf("applet server shipped nothing (site: %v)", s.Err())
+	}
+	return r
+}
+
+// appletClientSrc is a client whose exported channel p receives
+// shipped applets.
+const appletClientSrc = `export new p inaction`
+
+// arrivals builds the first n uses of a shipped applet at a client, as
+// a remote node delivers them: for each, the object lands on the
+// client's channel p and one call runs it (the reply goes to a remote
+// channel).
+func arrivals(a *shipRouter, p uint32, n int) []site.Delivery {
+	ds := make([]site.Delivery, 0, 2*n)
+	for i := 0; i < n; i++ {
+		ds = append(ds,
+			site.Delivery{Src: 2, Op: wire.OpRef{Site: 2, Epoch: 1, ID: uint64(2*i + 1)},
+				Obj: &site.ObjDelivery{Heap: p, Code: a.unit.Encoded, Table: a.table, Frame: a.frame}},
+			site.Delivery{Src: 2, Op: wire.OpRef{Site: 2, Epoch: 1, ID: uint64(2*i + 2)},
+				Msg: &site.MsgDelivery{Heap: p, Label: "val", Args: []wire.Value{
+					{Kind: wire.WInt, I: int64(i)}, {Kind: wire.WNet, Net: vm.NetRef{Heap: 9, Site: 2, Node: 2}}}}})
+	}
+	return ds
+}
+
+// TestWarmArrivalCostIndependentOfCodeSize: once a client has linked an
+// applet, a later arrival of it costs a lookup, not a decode and a link,
+// so it allocates the same bytes whether the applet is 64 or 1024
+// instructions long.
+func TestWarmArrivalCostIndependentOfCodeSize(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race detector changes what allocates")
+	}
+	const warm = 200
+	var perArrival []uint64
+	for _, terms := range []int{31, 511} {
+		a := shippedApplet(t, terms)
+		u, err := asm.Decode(a.unit.Encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instrs := 0
+		for _, b := range u.Blocks {
+			instrs += len(b.Code)
+		}
+		c, p := turnSite(t, "client", appletClientSrc, "p", site.Config{Router: &shipRouter{}})
+		ds := arrivals(a, p, warm+1)
+		serve(t, c, ds[0]) // the cold arrival links
+		serve(t, c, ds[1])
+		n := testutil.AllocBytes(func() {
+			for _, d := range ds[2:] {
+				serve(t, c, d)
+			}
+		})
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if c.UnitsLinked != 2 || c.LinkCacheHits != warm {
+			t.Fatalf("%d-instruction applet: %d units linked, %d cache hits; want 2 and %d", instrs, c.UnitsLinked, c.LinkCacheHits, warm)
+		}
+		t.Logf("%d-instruction applet (%d bytes): %d bytes per warm arrival", instrs, len(a.unit.Encoded), n/warm)
+		perArrival = append(perArrival, n/warm)
+	}
+	if small, big := perArrival[0], perArrival[1]; big > small+small/50 {
+		t.Errorf("a warm arrival allocates %d bytes for the small applet, %d for the large one", small, big)
+	}
+}
+
+// BenchmarkObjArrival times one warm arrival of a shipped applet at a
+// client: the object delivery (a link-cache hit) and the call that runs
+// it.
+func BenchmarkObjArrival(b *testing.B) {
+	a := shippedApplet(b, 31)
+	c, p := turnSite(b, "client", appletClientSrc, "p", site.Config{Router: &shipRouter{}})
+	ds := arrivals(a, p, b.N+1)
+	serve(b, c, ds[0])
+	serve(b, c, ds[1])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, d := range ds[2:] {
+		serve(b, c, d)
+	}
+	if err := c.Err(); err != nil {
 		b.Fatal(err)
 	}
 }

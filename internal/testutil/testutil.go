@@ -2,6 +2,7 @@
 package testutil
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -61,4 +62,17 @@ func CheckAllocs(t *testing.T, what string, budget float64, runs int, f func()) 
 	if got := testing.AllocsPerRun(runs, f); got > budget {
 		t.Errorf("%s: %v allocations per run, budget %v", what, got, budget)
 	}
+}
+
+// AllocBytes reports how many heap bytes f allocates (the growth of
+// runtime.MemStats.TotalAlloc across the call). Like
+// testing.AllocsPerRun it pins GOMAXPROCS to 1 meanwhile, so other
+// goroutines add little to the count.
+func AllocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

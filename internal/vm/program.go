@@ -54,6 +54,9 @@ func (p *Program) StringIndex(s string) int {
 	return len(p.Strings) - 1
 }
 
+// Units returns the number of units linked so far.
+func (p *Program) Units() int { return p.nUnits }
+
 // Linked describes the placement of one unit inside the program.
 type Linked struct {
 	Unit  int

@@ -294,38 +294,30 @@ func (o *Obj) Encode() []byte {
 	return out
 }
 
-// DecodeObj parses an object payload.
-func DecodeObj(data []byte) (*Obj, error) {
-	r := NewReader(data)
-	op, _, err := decodeOpHdr(r)
-	if err != nil {
-		return nil, err
+// DecodeObjInto parses an object payload into o, which the receive
+// path keeps on its stack. o.Unit sub-slices data (no copy); the frame
+// is the only allocation.
+func DecodeObjInto(o *Obj, data []byte) error {
+	r := Reader{data: data}
+	var err error
+	if o.Op, _, err = decodeOpHdr(&r); err != nil {
+		return err
 	}
-	h, err := r.U()
-	if err != nil {
-		return nil, err
+	var to [3]uint64
+	for i := range to {
+		if to[i], err = r.U(); err != nil {
+			return err
+		}
 	}
-	s, err := r.U()
-	if err != nil {
-		return nil, err
+	o.To = vm.NetRef{Heap: uint32(to[0]), Site: uint32(to[1]), Node: uint32(to[2])}
+	if o.Unit, err = r.B(); err != nil {
+		return err
 	}
-	n, err := r.U()
-	if err != nil {
-		return nil, err
+	if o.Table, err = r.Index("table"); err != nil {
+		return err
 	}
-	unit, err := r.B()
-	if err != nil {
-		return nil, err
-	}
-	table, err := r.Count("table")
-	if err != nil {
-		return nil, err
-	}
-	frame, err := DecodeValues(r, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Obj{Op: op, To: vm.NetRef{Heap: uint32(h), Site: uint32(s), Node: uint32(n)}, Unit: unit, Table: table, Frame: frame}, nil
+	o.Frame, err = DecodeValues(&r, 0)
+	return err
 }
 
 // FetchReq asks the class's owning site for its byte-code.
@@ -450,11 +442,11 @@ func DecodeFetchRep(data []byte) (*FetchRep, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := r.Count("group")
+	g, err := r.Index("group")
 	if err != nil {
 		return nil, err
 	}
-	ix, err := r.Count("class")
+	ix, err := r.Index("class")
 	if err != nil {
 		return nil, err
 	}

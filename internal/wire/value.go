@@ -199,14 +199,30 @@ func (r *Reader) V() (int64, error) {
 	return v, nil
 }
 
-// Count reads a count bounded by MaxFrame.
+// Count reads the length of a sequence stored next in the input. Every
+// element takes at least one byte, so a count above the bytes left is
+// rejected before anything is allocated for it: a 3-byte value list
+// declaring a million values must not allocate 96 MB to find out.
 func (r *Reader) Count(what string) (int, error) {
 	v, err := r.U()
 	if err != nil {
 		return 0, err
 	}
+	if left := len(r.data) - r.pos; v > uint64(left) {
+		return 0, fmt.Errorf("wire: %s count %d exceeds the %d bytes left", what, v, left)
+	}
+	return int(v), nil
+}
+
+// Index reads a non-negative index into something outside the input
+// (a table or group of a code unit), bounded by MaxFrame.
+func (r *Reader) Index(what string) (int, error) {
+	v, err := r.U()
+	if err != nil {
+		return 0, err
+	}
 	if v > MaxFrame {
-		return 0, fmt.Errorf("wire: %s count %d too large", what, v)
+		return 0, fmt.Errorf("wire: %s index %d too large", what, v)
 	}
 	return int(v), nil
 }
@@ -216,9 +232,6 @@ func (r *Reader) S() (string, error) {
 	n, err := r.Count("string")
 	if err != nil {
 		return "", err
-	}
-	if r.pos+n > len(r.data) {
-		return "", fmt.Errorf("wire: truncated string at %d", r.pos)
 	}
 	s := string(r.data[r.pos : r.pos+n])
 	r.pos += n
@@ -230,9 +243,6 @@ func (r *Reader) B() ([]byte, error) {
 	n, err := r.Count("bytes")
 	if err != nil {
 		return nil, err
-	}
-	if r.pos+n > len(r.data) {
-		return nil, fmt.Errorf("wire: truncated bytes at %d", r.pos)
 	}
 	b := r.data[r.pos : r.pos+n]
 	r.pos += n

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -112,8 +113,8 @@ func TestObjRoundTrip(t *testing.T) {
 		Table: 7,
 		Frame: []wire.Value{{Kind: wire.WInt, I: 42}},
 	}
-	got, err := wire.DecodeObj(o.Encode())
-	if err != nil {
+	var got wire.Obj
+	if err := wire.DecodeObjInto(&got, o.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if got.To != o.To || got.Table != o.Table || string(got.Unit) != string(o.Unit) || got.Frame[0].I != 42 {
@@ -178,6 +179,36 @@ func TestDecodeCorruptionIsSafe(t *testing.T) {
 		}
 		_, _ = wire.DecodeMsg(mut)      // must not panic
 		_, _ = wire.DecodeEnvelope(mut) // must not panic
+	}
+	// Hostile counts: a few bytes declaring a huge list must fail before
+	// anything is allocated for the list.
+	noArgs := (&wire.Msg{To: m.To, Label: "l"}).Encode() // ends in the argument count, 0
+	for _, c := range []struct {
+		name   string
+		data   []byte
+		decode func([]byte) error
+	}{
+		{"1M values", binary.AppendUvarint(nil, 1<<20), func(b []byte) error {
+			_, err := wire.DecodeValues(wire.NewReader(b), 0)
+			return err
+		}},
+		{"64M values", binary.AppendUvarint(nil, wire.MaxFrame), func(b []byte) error {
+			_, err := wire.DecodeValues(wire.NewReader(b), 0)
+			return err
+		}},
+		{"message declaring 64M args", binary.AppendUvarint(noArgs[:len(noArgs)-1], wire.MaxFrame), func(b []byte) error {
+			_, err := wire.DecodeMsg(b)
+			return err
+		}},
+	} {
+		var err error
+		n := testutil.AllocBytes(func() { err = c.decode(c.data) })
+		if err == nil {
+			t.Errorf("%s: %d bytes decoded without error", c.name, len(c.data))
+		}
+		if !testutil.Race && n >= 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes before failing", c.name, len(c.data), n)
+		}
 	}
 }
 
