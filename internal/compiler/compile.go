@@ -3,9 +3,12 @@
 // into an intermediate virtual machine assembly. This in turn is
 // compiled into hardware independent byte-code. … The nested
 // structure of the source program is preserved in the final
-// byte-code"). Each method body, class body and spawned parallel
-// branch becomes its own block, which is what makes the dynamic
-// selection of byte-code for shipping cheap.
+// byte-code"). Each method body and class body becomes its own block,
+// which is what makes the dynamic selection of byte-code for shipping
+// cheap. A parallel branch forks a thread (its own block, entered by
+// SPAWN) only when it could park on an import; any other right branch
+// of a `|` is compiled inline in its parent's block, ahead of the
+// left branch, so a call forks only the threads that reduce.
 package compiler
 
 import (
@@ -194,8 +197,17 @@ func (c *compiler) proc(b *blockBuilder, p calc.Proc, sc *scope) error {
 		return nil
 
 	case *calc.Par:
-		// Spawn the right branch as its own thread; continue with
-		// the left branch inline.
+		// A right branch that cannot park runs inline, before the left
+		// branch: it never waits behind a left branch that parks on an
+		// import, and its binders take fresh slots of this frame.
+		if !parks(p.Right, sc) {
+			if err := c.proc(b, p.Right, sc); err != nil {
+				return err
+			}
+			return c.proc(b, p.Left, sc)
+		}
+		// Otherwise spawn the right branch as its own thread and
+		// continue with the left branch inline.
 		names, classes, err := captures([]calc.Proc{p.Right}, sc, nil, nil)
 		if err != nil {
 			return errf(p.Pos(), "%s", err)
@@ -374,6 +386,71 @@ func (c *compiler) proc(b *blockBuilder, p calc.Proc, sc *scope) error {
 
 	default:
 		return errf(p.Pos(), "internal: unknown process %T", p)
+	}
+}
+
+// parks reports whether the code proc emits inline for p could park
+// its thread: whether it reads an import-bound identifier (LdImp links
+// to a constant that may still be pending). Object, method and class
+// bodies are blocks of their own and do not count; neither does a
+// right branch that is spawned. Export and import forms count as
+// parking, so a branch holding one keeps its own thread.
+func parks(p calc.Proc, sc *scope) bool {
+	switch p := p.(type) {
+	case *calc.Nil:
+		return false
+	case *calc.Par:
+		// The right branch is either inline and cannot park, or spawned.
+		return parks(p.Left, sc)
+	case *calc.New:
+		for _, n := range p.Names {
+			sc = sc.bind(n, false, false, 0)
+		}
+		return parks(p.Body, sc)
+	case *calc.Msg:
+		return imported(p.Target, false, sc) || exprsImported(p.Args, sc)
+	case *calc.Object:
+		return imported(p.Target, false, sc)
+	case *calc.Inst:
+		return imported(p.Class, true, sc) || exprsImported(p.Args, sc)
+	case *calc.Def:
+		for _, d := range p.Defs {
+			sc = sc.bind(d.Name, true, false, 0)
+		}
+		return parks(p.Body, sc)
+	case *calc.If:
+		return exprImported(p.Cond, sc) || parks(p.Then, sc) || parks(p.Else, sc)
+	case *calc.Print:
+		return exprsImported(p.Args, sc)
+	default:
+		return true
+	}
+}
+
+func imported(id calc.Ident, class bool, sc *scope) bool {
+	e, ok := sc.lookup(id.Name, class)
+	return ok && e.isImport
+}
+
+func exprsImported(es []calc.Expr, sc *scope) bool {
+	for _, e := range es {
+		if exprImported(e, sc) {
+			return true
+		}
+	}
+	return false
+}
+
+func exprImported(e calc.Expr, sc *scope) bool {
+	switch e := e.(type) {
+	case *calc.Var:
+		return imported(e.Id, false, sc)
+	case *calc.Unary:
+		return exprImported(e.E, sc)
+	case *calc.Binary:
+		return exprImported(e.L, sc) || exprImported(e.R, sc)
+	default:
+		return false
 	}
 }
 

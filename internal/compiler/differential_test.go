@@ -86,13 +86,22 @@ var corpus = []string{
 	`def Chain(n, r) = if n == 0 then r!["end"]
 	   else new nx (Chain[n - 1, nx] | nx?(s) = r![s + "."])
 	 in new r (Chain[5, r] | r?(s) = println(s))`,
+	// Right branches the compiler runs inline, ahead of the left one:
+	// an if, a nested par, a new shadowing a name the left branch
+	// binds, and a def group.
+	`new x ((x?(v) = println("got", v)) | if 1 < 2 then x![1] else x![2])`,
+	`new x new y ((x?(a) = y?(b) = println(a - b)) | (y![2] | x![10]))`,
+	`new log ((log?(a) = log?(b) = println(a + b))
+	   | new x ((x?(v) = log![v]) | x![1])
+	   | new x ((x?(v) = log![v * 10]) | x![2]))`,
+	`new r ((r?(b) = println("even", b))
+	   | def Even(n, k) = if n == 0 then k![true] else Odd[n - 1, k]
+	     and Odd(n, k) = if n == 0 then k![false] else Even[n - 1, k]
+	     in Even[4, r])`,
 }
 
 func TestDifferentialCorpus(t *testing.T) {
 	for i, src := range corpus {
-		if strings.Contains(src, "degenerate") || strings.HasPrefix(src, "`let v = 0") || strings.Contains(src, "let v = 0") {
-			continue
-		}
 		p, err := syntax.Parse(src)
 		if err != nil {
 			t.Fatalf("case %d parse: %v\n%s", i, err, src)
@@ -122,9 +131,6 @@ func TestDifferentialCorpus(t *testing.T) {
 // for these confluent programs) the interpreter outcomes.
 func TestDifferentialSchedules(t *testing.T) {
 	for i, src := range corpus {
-		if strings.Contains(src, "let v = 0") {
-			continue
-		}
 		p := syntax.MustParse(src)
 		base, _, err := calc.RunString(p, calc.Config{})
 		if err != nil {
@@ -167,6 +173,25 @@ func TestWellTypedProgramsDontGoWrong(t *testing.T) {
 		t.Fatalf("generator acceptance too low: %d/%d", accepted, tried)
 	}
 	t.Logf("ran %d well-typed random programs (%d generated)", accepted, tried)
+}
+
+// FuzzWellTypedProgramsDontGoWrong is the fuzz form of the property
+// above: the fuzzer picks generator seeds, and the program a seed
+// generates, if it type-checks, must run on the machine without a
+// fault.
+func FuzzWellTypedProgramsDontGoWrong(f *testing.F) {
+	for _, seed := range []int64{1, 7, 97, 101} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		p := (&calc.Gen{R: rand.New(rand.NewSource(seed)), MaxDepth: 5}).Proc()
+		if _, err := types.Check(p); err != nil {
+			t.Skip("not well-typed")
+		}
+		if _, _, err := runVM(t, p, 50000); err != nil {
+			t.Fatalf("well-typed program faulted: %v\nsrc: %s", err, calc.String(p))
+		}
+	})
 }
 
 // The same property on the reference interpreter: well-typed programs

@@ -303,9 +303,10 @@ func serve(tb testing.TB, s *site.Site, d site.Delivery) {
 
 // TestTurnAllocBudget pins the cost of serving one remote call:
 // ingress and the reply's egress go through the site's scratch
-// buffers, so what allocates is the machine — the frames of the method
-// body, of the thread its par-composition forks and of the Serve
-// instance, plus the server object queued back at p.
+// buffers, so what allocates is the machine — the frame of the Serve
+// instance, the frame of the server object it queues back at p (the
+// next call's method body runs in it) and p's one-slot queue, dropped
+// each time a call drains it.
 func TestTurnAllocBudget(t *testing.T) {
 	s, heap := rpcServer(t)
 	const runs = 1000
@@ -314,7 +315,7 @@ func TestTurnAllocBudget(t *testing.T) {
 		calls[i] = call(heap, i)
 	}
 	i := 0
-	testutil.CheckAllocs(t, "TryDeliver + Turn of a one-integer call", 4, runs, func() {
+	testutil.CheckAllocs(t, "TryDeliver + Turn of a one-integer call", 3, runs, func() {
 		serve(t, s, calls[i])
 		i++
 	})
@@ -342,7 +343,7 @@ func TestJournaledTurnAllocBudget(t *testing.T) {
 		calls[i] = call(heap, i)
 	}
 	i := 0
-	testutil.CheckAllocs(t, "journaled TryDeliver + Turn of a one-integer call", 5, runs, func() {
+	testutil.CheckAllocs(t, "journaled TryDeliver + Turn of a one-integer call", 4, runs, func() {
 		serve(t, s, calls[i])
 		i++
 	})

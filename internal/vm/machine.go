@@ -50,7 +50,7 @@ type Stats struct {
 }
 
 // channel is a heap entry: queued messages or queued objects (never
-// both non-empty).
+// both non-empty). The queues pop with take, the run-queue with pop.
 type channel struct {
 	msgs fifo[qMsg]
 	objs fifo[qObj]
@@ -90,6 +90,17 @@ func (f *fifo[T]) pop() T {
 	f.head++
 	if f.head == len(f.q) {
 		f.q, f.head = f.q[:0], 0
+	}
+	return v
+}
+
+// take is pop for a channel queue: a queue that drains out of a
+// one-slot array lets go of it. Most such queues belong to reply
+// channels, which hold one entry once and then live on with nothing.
+func (f *fifo[T]) take() T {
+	v := f.pop()
+	if len(f.q) == 0 && cap(f.q) == 1 {
+		f.q = nil
 	}
 	return v
 }
@@ -532,14 +543,14 @@ func (m *Machine) trmsg(target Value, label int, args []Value) error {
 	case KChan:
 		ch := &m.heap[target.I]
 		if ch.objs.len() > 0 {
-			obj := ch.objs.pop()
+			obj := ch.objs.take()
 			// The message is the communication's cause: its trace wins;
 			// an untraced message joins the waiting object's trace.
 			trace := m.ambient
 			if trace == 0 {
 				trace = obj.trace
 			}
-			return m.reduce(obj.table, obj.frame, label, args, trace)
+			return m.reduce(obj.table, obj.frame, true, label, args, trace)
 		}
 		ch.msgs.push(qMsg{label: label, args: slices.Clone(args), trace: m.ambient})
 		m.Stats.MessagesQueued++
@@ -562,14 +573,19 @@ func (m *Machine) trobj(target Value, table int, frame []Value) error {
 	case KChan:
 		ch := &m.heap[target.I]
 		if ch.msgs.len() > 0 {
-			msg := ch.msgs.pop()
+			msg := ch.msgs.take()
 			trace := msg.trace
 			if trace == 0 {
 				trace = m.ambient
 			}
-			return m.reduce(table, frame, msg.label, msg.args, trace)
+			return m.reduce(table, frame, false, msg.label, msg.args, trace)
 		}
-		ch.objs.push(qObj{table: table, frame: slices.Clone(frame), trace: m.ambient})
+		// A queued object is consumed by exactly one message, so its
+		// frame is allocated with room for the largest method frame and
+		// becomes the method thread's frame (see reduce).
+		own := make([]Value, len(frame), m.methodFrameCap(table, len(frame)))
+		copy(own, frame)
+		ch.objs.push(qObj{table: table, frame: own, trace: m.ambient})
 		m.Stats.ObjectsQueued++
 		return nil
 	case KNet:
@@ -583,23 +599,45 @@ func (m *Machine) trobj(target Value, table int, frame []Value) error {
 	}
 }
 
+// methodFrameCap is the largest frame a method of table runs in, and
+// at least n (the object's captures).
+func (m *Machine) methodFrameCap(table, n int) int {
+	for _, b := range m.Prog.Tables[table].Blocks {
+		n = max(n, m.Prog.Blocks[b].FrameSize())
+	}
+	return n
+}
+
 // reduce performs one COMMUNICATION reduction: select the method of
-// the object (table, captured frame) and enqueue its body, whose frame
-// is built here from the two halves. The body thread runs under trace —
-// the causal context of the message half of the rendez-vous.
-func (m *Machine) reduce(table int, free []Value, label int, args []Value, trace uint64) error {
+// the object (table, captured frame free) and enqueue its body, whose
+// frame is built here from the two halves. The body thread runs under
+// trace — the causal context of the message half of the rendez-vous.
+//
+// free is a view unless owned says it is the frame of an object that
+// waited in a channel queue. trobj gave that frame room for the method
+// frame, so the arguments go after the captures and the body runs in
+// it. A frame without the room (one restored from a snapshot) or whose
+// length is not the method's NFree is copied like a view.
+func (m *Machine) reduce(table int, free []Value, owned bool, label int, args []Value, trace uint64) error {
 	block, ok := m.Prog.Tables[table].Lookup(label)
 	if !ok {
 		return m.errorf("object does not understand label %q", m.Prog.Labels[label])
 	}
-	if np := m.Prog.Blocks[block].NParams; len(args) != np {
-		return m.errorf("method %q expects %d arguments, got %d", m.Prog.Labels[label], np, len(args))
+	b := &m.Prog.Blocks[block]
+	if len(args) != b.NParams {
+		return m.errorf("method %q expects %d arguments, got %d", m.Prog.Labels[label], b.NParams, len(args))
 	}
 	m.Stats.Communications++
-	saved := m.ambient
-	m.ambient = trace
-	m.spawn(block, free, args)
-	m.ambient = saved
+	var frame []Value
+	if owned && len(free) == b.NFree && cap(free) >= b.FrameSize() {
+		frame = free[:b.FrameSize()]
+	} else {
+		frame = make([]Value, b.FrameSize())
+		copy(frame, free)
+	}
+	copy(frame[b.NFree:], args)
+	m.Stats.Threads++
+	m.runq.push(Thread{block: int32(block), frame: frame, trace: trace})
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -445,6 +446,50 @@ func TestParkAndRequeue(t *testing.T) {
 	}
 }
 
+// TestParkedLeftBranchDoesNotHoldFusedRight: the right branch of a
+// par-composition runs inline in its parent's thread, ahead of the
+// left branch, so a left branch that parks on a pending import leaves
+// it done rather than stuck behind the park.
+func TestParkedLeftBranchDoesNotHoldFusedRight(t *testing.T) {
+	unit, err := compiler.Compile(syntax.MustParse(`import x from s in (x![7] | println("right"))`), "fused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := vm.NewProgram()
+	linked, err := prog.Link(unit, []vm.Value{vm.Pending(0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	m := vm.NewMachine(prog, &out, nil)
+	var parked []vm.Thread
+	var parkedConst int
+	m.OnPending = func(th vm.Thread, idx int) {
+		parked = append(parked, th)
+		parkedConst = idx
+	}
+	m.Spawn(linked.Entry, nil)
+	if err := m.RunToQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	if len(parked) != 1 || m.Stats.Threads != 1 {
+		t.Fatalf("%d parked of %d threads, want the one entry thread parked", len(parked), m.Stats.Threads)
+	}
+	if out.String() != "right\n" {
+		t.Fatalf("out = %q before resolution, want the right branch done", out.String())
+	}
+
+	ch := m.NewChan()
+	prog.Consts[parkedConst] = vm.Chan(ch)
+	m.Requeue(parked[0])
+	if err := m.RunToQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	if msgs, _ := m.PendingAt(ch); msgs != 1 || out.String() != "right\n" {
+		t.Fatalf("after resolution: %d messages at x, out = %q", msgs, out.String())
+	}
+}
+
 // parkedSnapshotHex is TestParkAndRequeue's snapshot as the parent of
 // the shared-operand-stack change encoded it.
 const parkedSnapshotHex = "000205656e74727900000005040e002500000a0000210200260000056e6f6973650000000504d00f0004a01f000a000021020026000000000100c6010000000002000001110404000000000000000001000100020001000e00"
@@ -497,8 +542,9 @@ in (Spin[0] | println("starved?"))`
 
 // pingPong returns a machine about to run the same-site ping-pong for
 // the given number of rounds. A round is 4 reductions (a COMM at p and
-// at the reply channel, an INST of Serve and of Call) over 6 thread
-// activations (the two par-compositions fork one more each).
+// at the reply channel, an INST of Serve and of Call), one thread
+// activation each: the right branches of both par-compositions run
+// inline.
 func pingPong(tb testing.TB, rounds int) *vm.Machine {
 	tb.Helper()
 	src := fmt.Sprintf(`
@@ -549,17 +595,21 @@ func TestAllocBudget(t *testing.T) {
 		}
 	})
 
-	// Reduction: a ping-pong round allocates the six threads' frames,
-	// the two halves that wait in a channel queue (the message at p or
-	// the server object, and the caller's continuation object), and the
-	// fresh reply channel's queue; the heap of channels grows amortised.
+	// Reduction: a ping-pong round runs four threads. The two INST
+	// threads (Serve, Call) get fresh frames; the two COMM threads run
+	// in the frames of the objects that waited for their message (the
+	// server object at p, the caller's continuation at the reply
+	// channel), allocated when those objects were queued. The last two
+	// allocations are the one-slot queues of p and of the fresh reply
+	// channel, each dropped when it drains; the heap of channels grows
+	// amortised.
 	m = pingPong(t, 1<<30)
-	if _, err := m.RunSlice(6 * 64); err != nil {
+	if _, err := m.RunSlice(4 * 64); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Stats
-	testutil.CheckAllocs(t, "ping-pong round", 9, runs, func() {
-		if n, err := m.RunSlice(6); n != 6 || err != nil {
+	testutil.CheckAllocs(t, "ping-pong round", 6, runs, func() {
+		if n, err := m.RunSlice(4); n != 4 || err != nil {
 			t.Fatalf("round: ran %d threads: %v", n, err)
 		}
 	})
@@ -568,6 +618,36 @@ func TestAllocBudget(t *testing.T) {
 		if want := uint64(4 * (runs + 1)); red != want {
 			t.Fatalf("%d reductions in %d rounds, want %d", red, runs+1, want)
 		}
+	}
+}
+
+// TestReplyChannelRetention pins what a finished local call leaves on
+// the heap. Every call makes a reply channel that lives until the
+// machine does; the channel itself is 64 B, and the one-slot queue its
+// continuation waited in must not outlive the reply (it was another
+// 48 B per call).
+func TestReplyChannelRetention(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race detector changes what the heap holds")
+	}
+	const calls = 10000
+	m := pingPong(t, calls)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := m.RunToQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if got := m.HeapSize(); got != calls+1 {
+		t.Fatalf("heap holds %d channels after %d calls", got, calls)
+	}
+	perCall := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / calls
+	t.Logf("%d B retained per call", perCall)
+	if perCall > 72 {
+		t.Fatalf("%d B retained per call, budget 72", perCall)
 	}
 }
 
