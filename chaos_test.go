@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/journal"
+	"repro/internal/membership"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -128,8 +128,8 @@ func TestSetiSurvivesChaosAndWorkerCrash(t *testing.T) {
 		Reliability: &transport.ReliableConfig{},
 		Telemetry:   &telemetry.Config{Trace: true},
 		Detect:      &core.DetectConfig{Period: 10 * time.Millisecond, SuspectAfter: 80 * time.Millisecond},
-		OnSuspect: func(observer uint32, e failure.Event) {
-			if e.Suspected {
+		OnSuspect: func(observer uint32, e membership.Event) {
+			if e.State == membership.StateSuspect || e.State == membership.StateDead {
 				susMu.Lock()
 				suspectedBy[e.Node] = append(suspectedBy[e.Node], observer)
 				susMu.Unlock()
@@ -323,8 +323,8 @@ func TestSetiSurvivesServerCrashAndRecovery(t *testing.T) {
 		CheckpointEvery: 4,
 		LeaseTTL:        time.Second,
 		Supervise:       true,
-		OnSuspect: func(observer uint32, e failure.Event) {
-			if e.Suspected {
+		OnSuspect: func(observer uint32, e membership.Event) {
+			if e.State == membership.StateSuspect || e.State == membership.StateDead {
 				susMu.Lock()
 				suspected[e.Node] = true
 				susMu.Unlock()

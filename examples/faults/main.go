@@ -2,12 +2,11 @@
 // to be able to detect site failures, reconfigure the computation
 // topology and to try to terminate computations cleanly."
 //
-// Three nodes run heartbeat failure detectors over the control
-// channel, a distributed termination coordinator watches a worker
-// computation finish, a transient partition cuts node 2 off (suspicion
-// rises, then clears when the link heals), and finally node 3
-// "crashes" — the survivors suspect it and reconfigure their view of
-// the cluster.
+// Three nodes run gossip membership agents over the control channel,
+// a distributed termination coordinator watches a worker computation
+// finish, a transient partition cuts node 2 off (suspicion rises, then
+// clears when the link heals), and finally node 3 "crashes" — the
+// survivors suspect it and reconfigure their view of the cluster.
 //
 //	go run ./examples/faults
 package main
@@ -18,7 +17,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/failure"
+	"repro/internal/membership"
 	"repro/internal/nameservice"
 	"repro/internal/node"
 	"repro/internal/termination"
@@ -74,18 +73,26 @@ func main() {
 		coords[id].Interval = time.Millisecond
 	}
 
-	// Failure detectors with a reconfiguration hook.
-	detectors := map[uint32]*failure.Detector{}
+	// Membership agents with a reconfiguration hook.
+	agents := map[uint32]*membership.M{}
 	for _, id := range ids {
 		id := id
-		detectors[id] = nodes[id].AttachFailureDetector(ids, 5*time.Millisecond, func(e failure.Event) {
-			if e.Suspected {
-				fmt.Printf("node %d SUSPECTS node %d — reconfiguring (alive: %v)\n",
-					id, e.Node, detectors[id].Alive())
-			} else {
-				fmt.Printf("node %d trusts node %d again\n", id, e.Node)
-			}
+		agents[id] = nodes[id].AttachMembership(node.MembershipConfig{
+			Peers:    ids,
+			Interval: 5 * time.Millisecond,
+			OnEvent: func(e membership.Event) {
+				switch {
+				case down(e.State):
+					fmt.Printf("node %d: node %d is %s — reconfiguring\n", id, e.Node, e.State)
+				case down(e.Prev):
+					fmt.Printf("node %d trusts node %d again\n", id, e.Node)
+				}
+			},
 		})
+	}
+	sees := func(observer, peer uint32) membership.State {
+		st, _ := agents[observer].State(peer)
+		return st
 	}
 
 	// Phase 1: run a small distributed computation and detect its
@@ -129,33 +136,32 @@ func main() {
 		}
 	}
 	waitFor("suspicion of node 2", func() bool {
-		return detectors[1].Suspected(2) && detectors[3].Suspected(2)
+		return down(sees(1, 2)) && down(sees(3, 2))
 	})
 	fmt.Println("-- healing the partition")
 	chaos.Heal(1, 2)
 	chaos.Heal(2, 3)
 	waitFor("trust in node 2", func() bool {
-		return !detectors[1].Suspected(2) && !detectors[3].Suspected(2)
+		return sees(1, 2) == membership.StateAlive && sees(3, 2) == membership.StateAlive
 	})
 
-	// Phase 3: crash node 3 and watch the survivors notice.
+	// Phase 3: crash node 3 (its agent stops with it) and watch the
+	// survivors notice.
 	fmt.Println("-- crashing node 3")
-	detectors[3].Stop()
 	nodes[3].Stop()
-	deadline := time.After(10 * time.Second)
-	for !detectors[1].Suspected(3) || !detectors[2].Suspected(3) {
-		select {
-		case <-deadline:
-			fail(fmt.Errorf("survivors never suspected node 3"))
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitFor("suspicion of node 3", func() bool {
+		return down(sees(1, 3)) && down(sees(2, 3))
+	})
 	fmt.Printf("-- node 1 sees alive: %v; node 2 sees alive: %v\n",
-		detectors[1].Alive(), detectors[2].Alive())
+		agents[1].AliveNodes(), agents[2].AliveNodes())
 	for _, id := range []uint32{1, 2} {
-		detectors[id].Stop()
 		nodes[id].Stop()
 	}
+}
+
+// down reports whether a membership verdict counts a peer as failed.
+func down(s membership.State) bool {
+	return s == membership.StateSuspect || s == membership.StateDead
 }
 
 func fail(err error) {

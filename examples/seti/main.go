@@ -29,8 +29,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/journal"
+	"repro/internal/membership"
 	"repro/internal/transport"
 )
 
@@ -70,8 +70,8 @@ func main() {
 	if *drop > 0 || *crash >= 0 {
 		cfg.Chaos = &transport.ChaosConfig{Seed: *seed, Drop: *drop, Dup: *drop / 2, Reorder: *drop / 2}
 		cfg.Reliability = &transport.ReliableConfig{}
-		// Heartbeats are best-effort, so SuspectAfter must outlast any
-		// plausible run of consecutive losses at this drop rate — a
+		// Gossip probes are best-effort, so SuspectAfter must outlast
+		// any plausible run of consecutive losses at this drop rate — a
 		// false suspicion fail-fasts real work. Size it so the chance
 		// of that run is below 1e-6.
 		period := 10 * time.Millisecond
@@ -83,9 +83,9 @@ func main() {
 			}
 		}
 		cfg.Detect = &core.DetectConfig{Period: period, SuspectAfter: suspect}
-		cfg.OnSuspect = func(observer uint32, e failure.Event) {
-			if e.Suspected {
-				fmt.Printf("-- node %d suspects node %d\n", observer, e.Node)
+		cfg.OnSuspect = func(observer uint32, e membership.Event) {
+			if e.State == membership.StateSuspect || e.State == membership.StateDead {
+				fmt.Printf("-- node %d: node %d is %s\n", observer, e.Node, e.State)
 			}
 		}
 	}
@@ -125,8 +125,8 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	if *crash >= 0 && *crash < *workers {
-		// Kill the victim's node mid-run, let the survivors' failure
-		// detectors report the death, then restart it: the worker site
+		// Kill the victim's node mid-run, let the survivors' membership
+		// agents report the death, then restart it: the worker site
 		// replays its journal and resumes its own quota where the
 		// crash cut it off.
 		time.Sleep(50 * time.Millisecond)

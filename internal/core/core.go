@@ -24,7 +24,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/asm"
 	"repro/internal/compiler"
-	"repro/internal/failure"
 	"repro/internal/journal"
 	"repro/internal/membership"
 	"repro/internal/nameservice"
@@ -79,14 +78,12 @@ func (p *Program) SiteProgram() *site.Program {
 }
 
 // DetectConfig configures the per-node failure detectors of a
-// cluster. The default is SWIM-style gossip membership with a
-// phi-accrual detector (DESIGN.md §13): one randomized probe per
-// Period regardless of cluster size, indirect ping-req fallback, and
-// an adaptive suspicion score instead of a binary timeout. Set
-// Heartbeat for the legacy all-pairs heartbeat detector (the E14
-// baseline).
+// cluster: SWIM-style gossip membership with a phi-accrual detector
+// (DESIGN.md §13) — one randomized probe per Period regardless of
+// cluster size, indirect ping-req fallback, and an adaptive suspicion
+// score instead of a binary timeout.
 type DetectConfig struct {
-	// Period is the probe (or heartbeat) interval (default 50ms).
+	// Period is the probe interval (default 50ms).
 	Period time.Duration
 	// SuspectAfter is the minimum silence before suspicion (default
 	// 4 × Period; raise it on lossy links). Under gossip membership
@@ -103,9 +100,6 @@ type DetectConfig struct {
 	// Seed fixes the gossip protocol's randomness (deterministic
 	// drills); 0 derives per-node seeds.
 	Seed uint64
-	// Heartbeat selects the legacy all-pairs heartbeat detector
-	// instead of gossip membership.
-	Heartbeat bool
 }
 
 // ClusterConfig configures an in-process cluster.
@@ -128,13 +122,16 @@ type ClusterConfig struct {
 	// on every node — required for computations to survive a chaotic
 	// fabric.
 	Reliability *transport.ReliableConfig
-	// Detect, when non-nil, attaches a heartbeat failure detector to
-	// every node (feeding the reliable layer's peer-down state).
+	// Detect, when non-nil, attaches a gossip membership agent to
+	// every node (feeding the reliable layer's peer-down state and the
+	// name service's fences).
 	Detect *DetectConfig
-	// OnSuspect receives every detector suspicion change, tagged with
-	// the observing node. The reconfiguration hook: a SETI-style master
-	// requeues a crashed worker's chunks from here.
-	OnSuspect func(observer uint32, e failure.Event)
+	// OnSuspect receives every membership transition as the observing
+	// node's agent emits it — Suspect and Dead verdicts, refutations,
+	// departures, whether seen first-hand or learned by gossip. The
+	// reconfiguration hook: a SETI-style master requeues a crashed
+	// worker's chunks from here.
+	OnSuspect func(observer uint32, e membership.Event)
 	// Journal, when non-nil, gives every site a write-ahead log:
 	// mobility operations are journaled before acknowledgement, sites
 	// checkpoint periodically, and Cluster.Recover can restart a crashed
@@ -205,8 +202,7 @@ type ClusterConfig struct {
 	// retransmission, receiver application).
 	OpDeadline time.Duration
 	// Sched configures every node's work-stealing scheduler
-	// (DESIGN.md §15). The zero value runs GOMAXPROCS workers;
-	// Sched.Serial restores the goroutine-per-site legacy runtime.
+	// (DESIGN.md §15). The zero value runs GOMAXPROCS workers.
 	Sched node.SchedConfig
 }
 
@@ -231,7 +227,6 @@ type Cluster struct {
 	// mu guards the node roster, which Recover rebuilds in place.
 	mu          sync.Mutex
 	nodes       []*node.Node
-	detectors   []*failure.Detector
 	memberships []*membership.M
 	mems        []*transport.Mem
 	epochs      []uint32
@@ -293,13 +288,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.Detect != nil {
 		for _, n := range c.nodes {
-			if cfg.Detect.Heartbeat {
-				c.detectors = append(c.detectors, c.attachDetector(n))
-				c.memberships = append(c.memberships, nil)
-			} else {
-				c.detectors = append(c.detectors, nil)
-				c.memberships = append(c.memberships, c.attachMembership(n))
-			}
+			c.memberships = append(c.memberships, c.attachMembership(n))
 		}
 	}
 	c.det = termination.New(c.probes)
@@ -409,29 +398,8 @@ func (c *Cluster) journalsFor(id uint32) journal.Factory {
 	return journal.Scoped(c.cfg.Journal, fmt.Sprintf("n%d", id))
 }
 
-// attachDetector wires a heartbeat failure detector to a node using the
-// cluster's Detect config.
-func (c *Cluster) attachDetector(n *node.Node) *failure.Detector {
-	peers := make([]uint32, c.cfg.Nodes)
-	for i := range peers {
-		peers[i] = uint32(i + 1)
-	}
-	observer := n.ID()
-	return n.AttachFailureDetectorWith(failure.Config{
-		Peers:        peers,
-		Period:       c.cfg.Detect.Period,
-		SuspectAfter: c.cfg.Detect.SuspectAfter,
-		OnEvent: func(e failure.Event) {
-			if c.cfg.OnSuspect != nil {
-				c.cfg.OnSuspect(observer, e)
-			}
-		},
-	})
-}
-
 // attachMembership wires a gossip membership agent to a node using
-// the cluster's Detect config, mapping its transitions onto the
-// legacy OnSuspect surface and fencing the name service.
+// the cluster's Detect config; its transitions go to onMembership.
 func (c *Cluster) attachMembership(n *node.Node) *membership.M {
 	peers := make([]uint32, c.cfg.Nodes)
 	for i := range peers {
@@ -458,33 +426,26 @@ func (c *Cluster) attachMembership(n *node.Node) *membership.M {
 	})
 }
 
-// onMembership translates one node's membership transition into the
-// cluster-level hooks: the OnSuspect callback keeps its heartbeat-era
-// contract (Suspected flips true on suspicion, false on refutation or
-// rejoin), and Dead/Left verdicts fence the node in the name service
-// so its leases expire immediately instead of at TTL.
+// onMembership handles one transition of observer's view: Dead and
+// Left verdicts fence the node in the name service, so its leases
+// expire immediately instead of at TTL, and Alive lifts the fence;
+// then OnSuspect sees the event unchanged.
 func (c *Cluster) onMembership(observer uint32, e membership.Event) {
-	switch e.State {
-	case membership.StateSuspect:
-		if c.cfg.OnSuspect != nil && e.Prev != membership.StateDead {
-			c.cfg.OnSuspect(observer, failure.Event{Node: e.Node, Suspected: true, At: e.At})
-		}
-	case membership.StateDead, membership.StateLeft:
-		if f, ok := c.ns.(nameservice.NodeFencer); ok {
+	if f, ok := c.ns.(nameservice.NodeFencer); ok {
+		switch e.State {
+		case membership.StateDead, membership.StateLeft:
 			f.FenceNode(e.Node)
-		}
-	case membership.StateAlive:
-		if f, ok := c.ns.(nameservice.NodeFencer); ok {
+		case membership.StateAlive:
 			f.UnfenceNode(e.Node)
 		}
-		if c.cfg.OnSuspect != nil && (e.Prev == membership.StateSuspect || e.Prev == membership.StateDead) {
-			c.cfg.OnSuspect(observer, failure.Event{Node: e.Node, Suspected: false, At: e.At})
-		}
+	}
+	if c.cfg.OnSuspect != nil {
+		c.cfg.OnSuspect(observer, e)
 	}
 }
 
-// Membership returns node i's gossip membership agent (nil when the
-// Detect knob is off or in legacy Heartbeat mode).
+// Membership returns node i's gossip membership agent (nil without
+// the Detect knob).
 func (c *Cluster) Membership(i int) *membership.M {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -509,10 +470,6 @@ func (c *Cluster) Crash(i int) {
 		return
 	}
 	n := c.nodes[i]
-	var d *failure.Detector
-	if i < len(c.detectors) {
-		d = c.detectors[i]
-	}
 	c.mu.Unlock()
 	id := n.ID()
 	c.deadMu.Lock()
@@ -524,9 +481,6 @@ func (c *Cluster) Crash(i int) {
 	}
 	if c.chaos != nil {
 		c.chaos.Crash(id)
-	}
-	if d != nil {
-		d.Stop()
 	}
 	n.Stop()
 }
@@ -572,24 +526,16 @@ func (c *Cluster) Recover(i int) error {
 	if err != nil {
 		return fmt.Errorf("core: reattach node %d: %w", id, err)
 	}
-	var det *failure.Detector
 	var memb *membership.M
 	if c.cfg.Detect != nil {
-		if c.cfg.Detect.Heartbeat {
-			det = c.attachDetector(n)
-		} else {
-			// The fresh incarnation gossips at its bumped epoch, which
-			// outranks the Dead verdict peers hold about its past life.
-			memb = c.attachMembership(n)
-		}
+		// The fresh incarnation gossips at its bumped epoch, which
+		// outranks the Dead verdict peers hold about its past life.
+		memb = c.attachMembership(n)
 	}
 	c.mu.Lock()
 	c.nodes[i] = n
 	c.mems[i] = newMem
 	c.epochs[i] = epoch
-	if det != nil && i < len(c.detectors) {
-		c.detectors[i] = det
-	}
 	if memb != nil && i < len(c.memberships) {
 		c.memberships[i] = memb
 	}
@@ -803,16 +749,7 @@ func (c *Cluster) Err() error {
 
 // Stop tears the cluster down.
 func (c *Cluster) Stop() {
-	c.mu.Lock()
-	detectors := append([]*failure.Detector(nil), c.detectors...)
-	nodes := append([]*node.Node(nil), c.nodes...)
-	c.mu.Unlock()
-	for _, d := range detectors {
-		if d != nil {
-			d.Stop()
-		}
-	}
-	for _, n := range nodes {
+	for _, n := range c.snapshotNodes() {
 		n.Stop()
 	}
 	if c.chaos != nil {

@@ -94,9 +94,7 @@ func E16(o Options) (*Table, error) {
 		}
 		var steals uint64
 		for i := 0; i < cl.Nodes(); i++ {
-			if st := cl.Node(i).Status(); st.Sched != nil {
-				steals += st.Sched.Steals
-			}
+			steals += cl.Node(i).Status().Sched.Steals
 		}
 		cl.Stop()
 

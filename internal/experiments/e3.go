@@ -71,7 +71,7 @@ func E3(o Options) (*Table, error) {
 			return nil, err
 		}
 		m := vm.NewMachine(prog, io.Discard, nil)
-		hist := stats.NewHistogram(0)
+		hist := &stats.BucketHistogram{}
 		m.InstrPerThread = func(n int) { hist.Observe(float64(n)) }
 		m.Spawn(linked.Entry, nil)
 		start := time.Now()

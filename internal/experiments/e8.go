@@ -4,15 +4,16 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/failure"
+	"repro/internal/membership"
 )
 
 // E8 — the control services the paper names as future work (§7):
 // termination-detection latency as the cluster grows, and
-// failure-detection time as a function of the heartbeat period.
+// failure-detection time as a function of the gossip probe period.
 func E8(o Options) (*Table, error) {
 	t := &Table{
 		ID:     "E8",
@@ -58,9 +59,9 @@ func E8(o Options) (*Table, error) {
 		t.Rows = append(t.Rows, []string{"termination detect", fmt.Sprintf("%d sites", k), detect.Round(10 * time.Microsecond).String()})
 	}
 
-	// Failure detection: two in-process detectors exchanging
-	// heartbeats through function calls; node 2's heartbeats stop and
-	// we time until node 1 suspects it.
+	// Failure detection: two in-process membership agents gossiping
+	// through function calls; node 2 falls silent and we time until
+	// node 1 suspects it.
 	periods := []time.Duration{2 * time.Millisecond, 10 * time.Millisecond}
 	if o.Quick {
 		periods = []time.Duration{2 * time.Millisecond}
@@ -73,52 +74,53 @@ func E8(o Options) (*Table, error) {
 		t.Rows = append(t.Rows, []string{"failure detect", fmt.Sprintf("period %v", period), d.Round(100 * time.Microsecond).String()})
 	}
 	t.Notes = append(t.Notes,
-		"failure detection time ≈ SuspectAfter (4 × period) + up to one check period")
+		"failure detection time ≥ SuspectAfter (4 × period): the phi score convicts only past that floor, checked once per period")
 	return t, nil
 }
 
-// measureFailureDetection wires two detectors back to back, kills one,
-// and times the other's suspicion.
+// measureFailureDetection wires two membership agents back to back,
+// cuts node 2 off in both directions, and times node 1's suspicion.
 func measureFailureDetection(period time.Duration) (time.Duration, error) {
-	var d1, d2 *failure.Detector
+	var m1, m2 *membership.M
+	var crashed atomic.Bool
 	suspected := make(chan time.Time, 1)
 	var once sync.Once
-
-	d1 = failure.New(failure.Config{
-		Self: 1, Peers: []uint32{1, 2}, Period: period,
+	peers := []uint32{1, 2}
+	m1 = membership.New(membership.Config{
+		Self: 1, Peers: peers, ProbeInterval: period,
 		Send: func(dst uint32, payload []byte) error {
-			if dst == 2 && d2 != nil {
-				d2.Observe(payload)
+			if !crashed.Load() {
+				m2.Observe(1, payload)
 			}
 			return nil
 		},
-		OnEvent: func(e failure.Event) {
-			if e.Suspected && e.Node == 2 {
+		OnEvent: func(e membership.Event) {
+			if e.Node == 2 && e.State == membership.StateSuspect {
 				once.Do(func() { suspected <- time.Now() })
 			}
 		},
 	})
-	d2 = failure.New(failure.Config{
-		Self: 2, Peers: []uint32{1, 2}, Period: period,
+	m2 = membership.New(membership.Config{
+		Self: 2, Peers: peers, ProbeInterval: period,
 		Send: func(dst uint32, payload []byte) error {
-			if dst == 1 {
-				d1.Observe(payload)
+			if !crashed.Load() {
+				m1.Observe(2, payload)
 			}
 			return nil
 		},
 	})
-	d1.Start()
-	d2.Start()
-	// Let the pair exchange a few beats, then "crash" node 2.
-	time.Sleep(3 * period)
+	m1.Start()
+	m2.Start()
+	defer m1.Stop()
+	// Let the pair gossip a few periods, then "crash" node 2.
+	time.Sleep(10 * period)
 	killed := time.Now()
-	d2.Stop()
+	crashed.Store(true)
+	m2.Stop()
 	select {
 	case at := <-suspected:
-		d1.Stop()
 		return at.Sub(killed), nil
 	case <-time.After(100*period + time.Second):
-		d1.Stop()
 		return 0, fmt.Errorf("failure never detected (period %v)", period)
 	}
 }

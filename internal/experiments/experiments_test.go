@@ -10,9 +10,15 @@ import (
 
 // TestAllExperimentsQuick runs every experiment at CI scale and sanity
 // checks table shapes. This keeps the harness itself from rotting.
+// E18 is left to CI's slo-smoke lane (tycobench -quick -e e18, which
+// fails on the same errors): its burn-rate drill runs on the wall
+// clock, and on a loaded host its verdicts miss their windows.
 func TestAllExperimentsQuick(t *testing.T) {
 	for _, r := range experiments.All() {
 		r := r
+		if r.ID == "e18" {
+			continue
+		}
 		t.Run(r.ID, func(t *testing.T) {
 			table, err := r.Run(experiments.Options{Quick: true})
 			if err != nil {

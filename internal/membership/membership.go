@@ -1,10 +1,10 @@
 // Package membership is a SWIM-style gossip membership layer with an
-// adaptive phi-accrual failure detector — the replacement ROADMAP
-// item 2 calls for over the O(n²) point-to-point heartbeats of
-// internal/failure. Each protocol period a node pings one peer chosen
-// by randomized round-robin; an unanswered ping escalates to k
-// indirect ping-req probes through other peers, so one lossy link
-// cannot convict a healthy node. Verdicts are not binary: silence is
+// adaptive phi-accrual failure detector — the node's one failure
+// detector, in place of O(n²) point-to-point heartbeats. Each protocol
+// period a node pings one peer chosen by randomized round-robin; an
+// unanswered ping escalates to k indirect ping-req probes through
+// other peers, so one lossy link cannot convict a healthy node.
+// Verdicts are not binary: silence is
 // scored by a phi-accrual estimator (phi.go) that learns each peer's
 // observed inter-arrival distribution, and only sustained,
 // statistically surprising silence makes a peer Suspect. Suspicion,

@@ -191,9 +191,7 @@ func (c *coalescer) add(dst uint32, t wire.FrameType, trace, deadline uint64, pa
 		// parked sibling (or a spare) keeps the pool draining while
 		// this one waits.
 		p.mu.Unlock()
-		if c.n.sched != nil {
-			c.n.sched.coverBlocking()
-		}
+		c.n.sched.coverBlocking()
 		p.mu.Lock()
 		for !p.dead && len(p.buf.arena) >= c.cfg.MaxQueueBytes {
 			p.space.Wait()

@@ -199,15 +199,12 @@ func (n *Node) AdoptSite(siteName string, jl *site.Journal, out io.Writer, opts 
 		o(&cfg)
 	}
 	s := site.New(cfg)
-	var ss *schedSite
-	if n.sched != nil {
-		ss = n.sched.add(s)
-	}
+	ss := n.sched.add(s)
 	s.SetRestore(rec)
 	n.mu.Lock()
 	n.register(siteName, s, jl)
 	n.mu.Unlock()
-	n.startSite(s, ss)
+	n.sched.start(ss)
 	if n.cfg.Supervise {
 		go n.supervise(s, siteName, out, opts...)
 	}

@@ -4,61 +4,57 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/failure"
+	"repro/internal/membership"
 	"repro/internal/nameservice"
 	"repro/internal/node"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// TestNodeFailureDetection kills a node and checks its peer suspects
-// it through the heartbeat control channel.
+// TestNodeFailureDetection stops a node and checks that its peer's
+// membership agent suspects it over the gossip control channel, and
+// that the verdict has reached the reliable layer by the time the
+// event is observed: sends to the stopped peer fail fast.
 func TestNodeFailureDetection(t *testing.T) {
 	ns := nameservice.NewCentral()
 	fabric := transport.NewFabric(transport.Ideal)
 	t1, _ := fabric.Attach(1)
 	t2, _ := fabric.Attach(2)
-	n1 := node.New(node.Config{ID: 1, NS: ns, Transport: t1})
-	n2 := node.New(node.Config{ID: 2, NS: ns, Transport: t2})
+	rel := &transport.ReliableConfig{}
+	n1 := node.New(node.Config{ID: 1, NS: ns, Transport: t1, Reliability: rel})
+	n2 := node.New(node.Config{ID: 2, NS: ns, Transport: t2, Reliability: rel})
 	defer func() { n1.Stop(); fabric.Close() }()
 
-	events := make(chan failure.Event, 16)
-	period := 2 * time.Millisecond
-	d1 := n1.AttachFailureDetector([]uint32{1, 2}, period, func(e failure.Event) { events <- e })
-	d2 := n2.AttachFailureDetector([]uint32{1, 2}, period, nil)
-	defer d1.Stop()
+	events := make(chan membership.Event, 64)
+	peers := []uint32{1, 2}
+	n1.AttachMembership(node.MembershipConfig{Peers: peers, Interval: 2 * time.Millisecond,
+		OnEvent: func(e membership.Event) { events <- e }})
+	n2.AttachMembership(node.MembershipConfig{Peers: peers, Interval: 2 * time.Millisecond})
 
-	// Healthy phase: no suspicion.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case e := <-events:
-		t.Fatalf("false suspicion: %+v", e)
-	default:
-	}
-
-	// Crash node 2 (detector and node).
-	d2.Stop()
+	// Stopping the node stops its agent too: node 2 falls silent.
+	stopped := time.Now()
 	n2.Stop()
 
 	deadline := time.After(10 * time.Second)
 	for {
 		select {
 		case e := <-events:
-			if e.Suspected && e.Node == 2 {
-				if !d1.Suspected(2) {
-					t.Fatal("Suspected() disagrees with event")
+			down := e.State == membership.StateSuspect || e.State == membership.StateDead
+			if e.Node == 2 && down && !e.At.Before(stopped) {
+				if !n1.Reliable().PeerDown(2) {
+					t.Fatalf("%v of node 2 observed, but the reliable layer still has it up", e.State)
 				}
 				return
 			}
 		case <-deadline:
-			t.Fatal("crashed node never suspected")
+			t.Fatal("stopped node never suspected")
 		}
 	}
 }
 
 // TestNodeFailureDetectorCoexistsWithControl verifies handler
-// chaining: heartbeats are consumed by the detector while other
-// control frames still reach the original handler.
+// chaining: gossip frames are consumed by the membership agent while
+// other control frames still reach the original handler.
 func TestNodeFailureDetectorCoexistsWithControl(t *testing.T) {
 	ns := nameservice.NewCentral()
 	fabric := transport.NewFabric(transport.Ideal)
@@ -73,8 +69,11 @@ func TestNodeFailureDetectorCoexistsWithControl(t *testing.T) {
 	n2 := node.New(node.Config{ID: 2, NS: ns, Transport: t2})
 	defer n1.Stop()
 	defer n2.Stop()
-	d1 := n1.AttachFailureDetector([]uint32{1, 2}, time.Millisecond, nil)
-	defer d1.Stop()
+	peers := []uint32{1, 2}
+	m1 := n1.AttachMembership(node.MembershipConfig{Peers: peers, Interval: time.Millisecond})
+	n2.AttachMembership(node.MembershipConfig{Peers: peers, Interval: time.Millisecond})
+	// Node 1 has answered a ping from node 2: gossip reaches it.
+	waitFor(t, func() bool { return m1.Stats().AcksSent > 0 })
 
 	if err := n2.SendControl(wire.FTerm, 1, []byte("term-frame")); err != nil {
 		t.Fatal(err)
@@ -86,9 +85,9 @@ func TestNodeFailureDetectorCoexistsWithControl(t *testing.T) {
 			if p == "term-frame" {
 				return // FTerm passed through the chained handler
 			}
-			t.Fatalf("unexpected payload %q (heartbeats must not leak through)", p)
+			t.Fatalf("unexpected payload %q (gossip must not leak through)", p)
 		case <-deadline:
-			t.Fatal("FTerm frame swallowed by the detector chain")
+			t.Fatal("FTerm frame swallowed by the membership chain")
 		}
 	}
 }

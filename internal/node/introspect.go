@@ -197,15 +197,13 @@ func (n *Node) Status() telemetry.NodeStatus {
 		DeliveryFailures: n.deliveryFailures.Load(),
 		Strikes:          n.Strikes(),
 	}
-	if n.sched != nil {
-		ss := n.sched.stats()
-		st.Sched = &telemetry.SchedStatus{
-			Workers: ss.workers,
-			Parked:  ss.parked,
-			Spares:  ss.spares,
-			Steals:  ss.steals,
-			Queues:  ss.queues,
-		}
+	ss := n.sched.stats()
+	st.Sched = &telemetry.SchedStatus{
+		Workers: ss.workers,
+		Parked:  ss.parked,
+		Spares:  ss.spares,
+		Steals:  ss.steals,
+		Queues:  ss.queues,
 	}
 	sites := n.Sites()
 	sort.Slice(sites, func(i, j int) bool { return sites[i].ID() < sites[j].ID() })

@@ -8,8 +8,7 @@ import (
 )
 
 // MembershipConfig tunes the node's gossip membership agent
-// (internal/membership) — the adaptive replacement for the binary
-// heartbeat detector of AttachFailureDetector.
+// (internal/membership): the node's failure detector.
 type MembershipConfig struct {
 	// Peers is the full expected roster (self included or not).
 	Peers []uint32
@@ -68,8 +67,8 @@ func (n *Node) AttachMembership(cfg MembershipConfig) *membership.M {
 			}
 		},
 	})
-	// Chain FGossip ingestion onto the control handler (same pattern
-	// as AttachFailureDetectorWith).
+	// Chain FGossip ingestion onto the control handler: other control
+	// frames still reach whatever handler was installed before.
 	prev := n.control()
 	h := func(t wire.FrameType, src uint32, payload []byte) {
 		if t == wire.FGossip {

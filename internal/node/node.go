@@ -14,8 +14,7 @@
 //
 // Site execution itself is multiplexed over a per-core work-stealing
 // worker pool (sched.go, DESIGN.md §15) rather than one goroutine per
-// site, so a many-site node scales across cores; Config.Sched.Serial
-// restores the legacy dedicated run loops.
+// site, so a many-site node scales across cores.
 package node
 
 import (
@@ -56,13 +55,13 @@ type Config struct {
 	// deliveries are encoded and decoded as if they crossed the
 	// network (ablation for experiment E2).
 	ForceMarshalLocal bool
-	// OnControl receives FTerm/FHeartbeat payloads (termination and
-	// failure detectors register here).
+	// OnControl receives FTerm and FGossip payloads (the termination
+	// detector registers here; AttachMembership chains onto it).
 	OnControl func(t wire.FrameType, src uint32, payload []byte)
 	// Reliability, when non-nil, layers ack/retransmit delivery
 	// (transport.Reliable) between the TyCOd and the transport: frames
 	// survive lossy links, and sends to dead peers fail fast instead of
-	// queueing forever. Heartbeats bypass the layer (best-effort) —
+	// queueing forever. Gossip probes bypass the layer (best-effort) —
 	// their loss IS the failure signal.
 	Reliability *transport.ReliableConfig
 	// OnDeliveryFailure is told about every frame the node gave up
@@ -123,8 +122,7 @@ type Config struct {
 	OpDeadline time.Duration
 	// Sched tunes the work-stealing turn scheduler (DESIGN.md §15)
 	// that multiplexes the node's sites over a per-core worker pool.
-	// The zero value runs GOMAXPROCS workers; Sched.Serial restores
-	// the legacy goroutine-per-site run loops.
+	// The zero value runs GOMAXPROCS workers.
 	Sched SchedConfig
 }
 
@@ -142,7 +140,7 @@ type Node struct {
 	coal  *coalescer
 	tel   *telemetry.Telemetry  // nil when telemetry is off
 	adm   *admission.Controller // nil when admission control is off
-	sched *scheduler            // nil in Sched.Serial mode
+	sched *scheduler
 
 	// dir maps site ids to sites and their journals. Every delivery
 	// reads it without a lock, so the hot path never convoys on mu;
@@ -264,16 +262,6 @@ func (n *Node) register(name string, s *site.Site, jl *site.Journal) {
 	n.byName[name] = s
 }
 
-// startSite releases a freshly registered site for execution: onto the
-// scheduler's deques, or (Serial mode, ss == nil) its own goroutine.
-func (n *Node) startSite(s *site.Site, ss *schedSite) {
-	if n.sched != nil {
-		n.sched.start(ss)
-		return
-	}
-	go s.Run()
-}
-
 // LocalDeliveries reports same-node deliveries handled by the daemon.
 func (n *Node) LocalDeliveries() uint64 { return n.localDeliveries.Load() }
 
@@ -292,9 +280,7 @@ func New(cfg Config) *Node {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		byName: map[string]*site.Site{},
-	}
-	if !cfg.Sched.Serial {
-		n.sched = newScheduler(cfg.Sched)
+		sched:  newScheduler(cfg.Sched),
 	}
 	if cfg.Introspect != nil && n.tel == nil {
 		// Introspection implies telemetry: /metrics and the flight
@@ -428,15 +414,13 @@ func (n *Node) refreshTelemetryGauges() {
 	n.tel.SetGauge("deliveries.local", int64(n.localDeliveries.Load()))
 	n.tel.SetGauge("deliveries.remote", int64(n.remoteDeliveries.Load()))
 	n.tel.SetGauge("deliveries.failed", int64(n.deliveryFailures.Load()))
-	if n.sched != nil {
-		st := n.sched.stats()
-		n.tel.SetGauge("sched.workers", int64(st.workers))
-		n.tel.SetGauge("sched.parked_workers", int64(st.parked))
-		n.tel.SetGauge("sched.steals_total", int64(st.steals))
-		n.tel.SetGauge("sched.spare_workers", int64(st.spares))
-		for i, q := range st.queues {
-			n.tel.SetGauge(fmt.Sprintf("sched.queue.%d", i), int64(q))
-		}
+	ss := n.sched.stats()
+	n.tel.SetGauge("sched.workers", int64(ss.workers))
+	n.tel.SetGauge("sched.parked_workers", int64(ss.parked))
+	n.tel.SetGauge("sched.steals_total", int64(ss.steals))
+	n.tel.SetGauge("sched.spare_workers", int64(ss.spares))
+	for i, q := range ss.queues {
+		n.tel.SetGauge(fmt.Sprintf("sched.queue.%d", i), int64(q))
 	}
 	if n.rel != nil {
 		st := n.rel.Stats()
@@ -646,7 +630,7 @@ func (n *Node) sendExpiring(dst uint32, frame []byte, expiry time.Time) error {
 }
 
 // control reads the current control-frame handler (handlers may be
-// chained at runtime, e.g. by AttachFailureDetector).
+// chained at runtime, e.g. by AttachMembership).
 func (n *Node) control() func(wire.FrameType, uint32, []byte) {
 	if h := n.onControl.Load(); h != nil {
 		return *h
@@ -730,11 +714,8 @@ func (n *Node) Spawn(siteName string, prog *site.Program, out io.Writer, opts ..
 	s := site.New(cfg)
 	// Scheduler registration precedes Load: Load spawns import-resolver
 	// goroutines whose deliveries must find the wake hook installed. The
-	// handle starts held, so no turn runs before startSite below.
-	var ss *schedSite
-	if n.sched != nil {
-		ss = n.sched.add(s)
-	}
+	// handle starts held, so no turn runs before start below.
+	ss := n.sched.add(s)
 	if err := s.Load(prog); err != nil {
 		if jl != nil {
 			_ = jl.Close()
@@ -744,7 +725,7 @@ func (n *Node) Spawn(siteName string, prog *site.Program, out io.Writer, opts ..
 	n.mu.Lock()
 	n.register(siteName, s, jl)
 	n.mu.Unlock()
-	n.startSite(s, ss)
+	n.sched.start(ss)
 	if n.cfg.Supervise && jl != nil {
 		go n.supervise(s, siteName, out, opts...)
 	}
@@ -863,10 +844,7 @@ func (n *Node) RecoverSite(siteName string, out io.Writer, opts ...SiteOption) (
 		o(&cfg)
 	}
 	s := site.New(cfg)
-	var ss *schedSite
-	if n.sched != nil {
-		ss = n.sched.add(s)
-	}
+	ss := n.sched.add(s)
 	s.SetRestore(rec)
 	n.mu.Lock()
 	if old, ok := n.byName[siteName]; ok && old.ID() != id {
@@ -880,7 +858,7 @@ func (n *Node) RecoverSite(siteName string, out io.Writer, opts ...SiteOption) (
 	n.mu.Unlock()
 	// Registered before the first turn: live traffic buffers in the
 	// site's queue while the journal replays underneath it.
-	n.startSite(s, ss)
+	n.sched.start(ss)
 	return s, nil
 }
 
@@ -970,9 +948,7 @@ func (n *Node) Stop() {
 	for _, s := range sites {
 		<-s.Done()
 	}
-	if n.sched != nil {
-		n.sched.close()
-	}
+	n.sched.close()
 	n.coal.close()
 	select {
 	case <-n.stop:
@@ -999,8 +975,8 @@ func (n *Node) Stop() {
 	}
 }
 
-// SendControl ships a control payload (termination, heartbeat) to
-// another node; dst == self loops back through OnControl directly.
+// SendControl ships a control payload (termination, gossip) to another
+// node; dst == self loops back through OnControl directly.
 func (n *Node) SendControl(t wire.FrameType, dst uint32, payload []byte) error {
 	if dst == n.cfg.ID {
 		if h := n.control(); h != nil {
@@ -1008,10 +984,9 @@ func (n *Node) SendControl(t wire.FrameType, dst uint32, payload []byte) error {
 		}
 		return nil
 	}
-	if (t == wire.FHeartbeat || t == wire.FGossip) && n.rel != nil {
-		// Heartbeats and gossip probes stay best-effort: retransmitting
-		// one to a dead peer would mask exactly the loss the detector
-		// listens for.
+	if t == wire.FGossip && n.rel != nil {
+		// Gossip probes stay best-effort: retransmitting one to a dead
+		// peer would mask exactly the loss the detector listens for.
 		env := &wire.Envelope{Type: t, SrcNode: n.cfg.ID, DstNode: dst, Payload: payload}
 		return n.rel.SendBestEffort(dst, env.Encode())
 	}
@@ -1099,7 +1074,7 @@ func (n *Node) dispatchEnvelope(env *wire.Envelope) error {
 		d.Trace = env.Trace
 		d.Deadline = env.Deadline
 		return n.toSite(dstSite, d)
-	case wire.FTerm, wire.FHeartbeat, wire.FGossip:
+	case wire.FTerm, wire.FGossip:
 		if h := n.control(); h != nil {
 			h(env.Type, env.SrcNode, env.Payload)
 		}
@@ -1160,9 +1135,6 @@ func (n *Node) toLocal(siteID uint32, d site.Delivery, t wire.FrameType, payload
 	}
 	d.Src = n.cfg.ID
 	n.localDeliveries.Add(1)
-	if n.sched == nil {
-		return s.Deliver(d)
-	}
 	// Local mobility runs on a pool worker. A full destination inbox
 	// turns the delivery into a blocking handoff, so cover the worker
 	// first: a parked sibling (or a spare) keeps draining deques —

@@ -249,12 +249,12 @@ func TestControlFramesRoundTrip(t *testing.T) {
 		}})
 	defer func() { n1.Stop(); n2.Stop(); fabric.Close() }()
 
-	if err := n1.SendControl(wire.FHeartbeat, 2, []byte("beat")); err != nil {
+	if err := n1.SendControl(wire.FGossip, 2, []byte("beat")); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case c := <-got:
-		if c.ft != wire.FHeartbeat || c.src != 1 || c.payload != "beat" {
+		if c.ft != wire.FGossip || c.src != 1 || c.payload != "beat" {
 			t.Fatalf("control frame = %+v", c)
 		}
 	case <-time.After(5 * time.Second):

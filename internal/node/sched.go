@@ -33,11 +33,9 @@ import (
 // SchedConfig configures the node's work-stealing turn scheduler.
 type SchedConfig struct {
 	// Workers is the worker-goroutine count; 0 means GOMAXPROCS.
+	// Workers: 1 with a fixed Seed is the serial reference the
+	// per-site journal-determinism test compares a pool against.
 	Workers int
-	// Serial selects the legacy dedicated-goroutine-per-site run
-	// loops instead of the worker pool (ablations and the
-	// stealing-determinism probes compare against it).
-	Serial bool
 	// Seed perturbs the workers' steal-victim selection; 0 derives a
 	// fixed default. Victim choice is heuristic either way — the seed
 	// exists so soak tests can vary it deterministically.

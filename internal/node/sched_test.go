@@ -65,21 +65,6 @@ func TestSchedulerRunsSitesAndReportsStats(t *testing.T) {
 	waitFor(t, func() bool { return n.Status().Sched.RunQueueDepth() == 0 })
 }
 
-// Sched.Serial restores the goroutine-per-site legacy runtime: no
-// scheduler section in the status document, same observable behaviour.
-func TestSchedulerSerialFallback(t *testing.T) {
-	n, stop := oneNode(t, func(c *node.Config) {
-		c.Sched = node.SchedConfig{Serial: true}
-	})
-	defer stop()
-	out := &testutil.Buf{}
-	submit(t, n, "s", `println("done")`, out)
-	waitFor(t, func() bool { return strings.Contains(out.String(), "done") })
-	if n.Status().Sched != nil {
-		t.Fatal("Status().Sched non-nil in serial mode")
-	}
-}
-
 // Local cross-site traffic must work under the scheduler: the sender's
 // worker hands the delivery to the receiver site via its inbox and
 // wake hook, never by running the receiver inline.

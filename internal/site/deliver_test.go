@@ -67,12 +67,13 @@ func TestDeliverBackpressure(t *testing.T) {
 // TestDeliverConcurrentProducers: 8 producers deliver 10 000 messages
 // each to one channel while the site runs, through the inbox's full
 // and empty edges; every message is applied exactly once and each
-// producer's in the order it sent them, whether turns are driven one
-// by one or by the legacy Run loop. The inbox's array stays within
-// its bound throughout.
+// producer's in the order it sent them, whether turns are driven back
+// to back or parked on the wake callback whenever the site goes idle —
+// the wake mode finishes only if no enqueue slips past a parked
+// driver. The inbox's array stays within its bound throughout.
 func TestDeliverConcurrentProducers(t *testing.T) {
 	const producers, each = 8, 10000
-	for _, mode := range []string{"turn", "run"} {
+	for _, mode := range []string{"turn", "wake"} {
 		t.Run(mode, func(t *testing.T) {
 			var out testutil.Buf
 			s, heap := turnSite(t, "sink", `
@@ -81,8 +82,9 @@ in export new p L[p]`, "p", site.Config{Out: &out})
 			var consumer sync.WaitGroup
 			stop := make(chan struct{})
 			consumer.Add(1)
-			if mode == "run" {
-				go func() { defer consumer.Done(); s.Run() }()
+			if mode == "wake" {
+				drive(t, s, nil) // the sink imports nothing: no resolver races SetWake
+				go func() { defer consumer.Done(); <-s.Done() }()
 			} else {
 				go func() {
 					defer consumer.Done()
@@ -113,7 +115,7 @@ in export new p L[p]`, "p", site.Config{Out: &out})
 			}
 			wg.Wait()
 			ok := testutil.Eventually(func() bool { return strings.Count(out.String(), "\n") >= producers*each }, 60*time.Second)
-			if mode == "run" {
+			if mode == "wake" {
 				s.Stop()
 			}
 			close(stop)

@@ -60,6 +60,7 @@ func connectedSites(t *testing.T, srcs ...string) ([]*site.Site, []*testutil.Buf
 	names := []string{"alpha", "beta", "gamma"}
 	var ss []*site.Site
 	var outs []*testutil.Buf
+	var progs []*site.Program
 	for i, src := range srcs {
 		prog, err := node.CompileSubmission(names[i], src)
 		if err != nil {
@@ -69,14 +70,14 @@ func connectedSites(t *testing.T, srcs ...string) ([]*site.Site, []*testutil.Buf
 		s := site.New(site.Config{Name: names[i], ID: uint32(i + 1), NodeID: 1, NS: ns, Router: router, Out: out,
 			ImportTimeout: 10 * time.Second})
 		router.add(s)
-		if err := s.Load(prog); err != nil {
-			t.Fatal(err)
-		}
 		ss = append(ss, s)
 		outs = append(outs, out)
+		progs = append(progs, prog)
 	}
-	for _, s := range ss {
-		go s.Run()
+	// Every site is in the router before any runs: the router's map is
+	// read, unlocked, by whichever site routes.
+	for i, s := range ss {
+		drive(t, s, progs[i])
 	}
 	cleanup := func() {
 		for _, s := range ss {
@@ -201,10 +202,7 @@ func TestMobilityFetchUnknownClassFaults(t *testing.T) {
 	}
 	a := site.New(site.Config{Name: "alpha", ID: 1, NodeID: 1, NS: ns, Router: router})
 	router.add(a)
-	if err := a.Load(progA); err != nil {
-		t.Fatal(err)
-	}
-	go a.Run()
+	drive(t, a, progA)
 	defer func() { a.Stop(); <-a.Done() }()
 	// Forge a class registration that the site never made, then
 	// import it: the fetch must fail cleanly at the requester.
@@ -217,10 +215,7 @@ func TestMobilityFetchUnknownClassFaults(t *testing.T) {
 	}
 	b := site.New(site.Config{Name: "beta", ID: 2, NodeID: 1, NS: ns, Router: router})
 	router.add(b)
-	if err := b.Load(progB); err != nil {
-		t.Fatal(err)
-	}
-	go b.Run()
+	drive(t, b, progB)
 	defer func() { b.Stop(); <-b.Done() }()
 	waitSite(t, func() bool { return b.Err() != nil })
 	if !strings.Contains(b.Err().Error(), "exports no class") {

@@ -47,12 +47,10 @@ func (s *Site) probeTick() {
 
 // probePark marks the site blocked waiting for input (true) or
 // running again (false). Every successful enqueue clears the mark
-// (noteInput), so ParkedMs > 0 always means "no input" — in legacy
-// Run mode because the park select would have fired, and under the
-// work-stealing scheduler because the wake path unparks the site
-// before it is queued to a worker. A site with input queued therefore
-// always reads ParkedMs == 0, and if its loop stamp also stops
-// advancing the inbox stall heuristic flags it — which now covers a
+// (noteInput) before the wake queues the site to a worker, so
+// ParkedMs > 0 always means "no input". A site with input queued
+// therefore always reads ParkedMs == 0, and if its loop stamp also
+// stops advancing the inbox stall heuristic flags it — which covers a
 // wedged scheduler (queued but never run) as well as a wedged turn.
 func (s *Site) probePark(parked bool) {
 	if !s.cfg.Probe {

@@ -81,12 +81,12 @@ func TestEpochFencingAndDedup(t *testing.T) {
 func recoverSite(t *testing.T, f journal.Factory, ns nameservice.Service, name string, out *testutil.Buf, ckptEvery int) *site.Site {
 	t.Helper()
 	s := restoredSite(t, f, ns, name, out, ckptEvery)
-	go s.Run()
+	drive(t, s, nil)
 	return s
 }
 
-// restoredSite is recoverSite without the Run goroutine: the restore
-// happens in the caller's first Turn.
+// restoredSite is recoverSite without the driver goroutine: the
+// restore happens in the caller's first Turn.
 func restoredSite(t *testing.T, f journal.Factory, ns nameservice.Service, name string, out *testutil.Buf, ckptEvery int) *site.Site {
 	t.Helper()
 	st, err := f.Open(name)
@@ -134,10 +134,7 @@ func journalRecovery(t *testing.T, ckptEvery int) {
 		ImportTimeout: 2 * time.Second,
 		Journal:       site.NewJournal(st), CheckpointEvery: ckptEvery,
 	})
-	if err := s.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	go s.Run()
+	drive(t, s, prog)
 	waitSite(t, func() bool { return s.ExportTableSize() > 0 })
 	for i := int64(1); i <= 3; i++ {
 		if err := s.Deliver(valMsg(wire.OpRef{Site: 9, Epoch: 1, ID: uint64(i)}, i)); err != nil {
@@ -214,10 +211,7 @@ func TestReplayDeterminism(t *testing.T) {
 		ImportTimeout: 2 * time.Second,
 		Journal:       site.NewJournal(st), CheckpointEvery: 1000,
 	})
-	if err := s.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	go s.Run()
+	drive(t, s, prog)
 	waitSite(t, func() bool { return s.ExportTableSize() > 0 })
 	for i := int64(1); i <= 5; i++ {
 		if err := s.Deliver(valMsg(wire.OpRef{Site: 9, Epoch: 1, ID: uint64(i)}, i)); err != nil {

@@ -17,12 +17,10 @@
 //   - an I/O port (the site's print output).
 //
 // A site is internally sequential: everything that touches the
-// machine happens on whichever goroutine currently owns the site. In
-// the legacy mode that is one dedicated goroutine (Run); under the
-// node's work-stealing scheduler (DESIGN.md §15) workers take turns
-// owning the site, one at a time, driving Turn. The node feeds the
-// incoming queue and drains the outgoing queue concurrently either
-// way.
+// machine happens on whichever goroutine currently owns the site. The
+// node's work-stealing scheduler (DESIGN.md §15) hands that ownership
+// to its workers one turn at a time, each driving Turn, while the node
+// feeds the incoming queue and drains the outgoing queue concurrently.
 package site
 
 import (
@@ -254,15 +252,11 @@ type Site struct {
 	stop chan struct{}
 	done chan struct{}
 
-	// wake, when the site runs under a turn scheduler, notifies it
-	// that new input arrived (SetWake). Nil in legacy Run mode. Set
-	// once before the site starts; read by Deliver/Stop from any
-	// goroutine afterwards.
+	// wake notifies the turn scheduler that new input arrived
+	// (SetWake). Nil for a site driven by hand through Turn. Set once
+	// before the site starts; read by Deliver/Stop from any goroutine
+	// afterwards.
 	wake func()
-	// ready is the legacy Run loop's wake: every enqueue leaves one
-	// token when no scheduler wake is installed, so a loop that found
-	// the inbox empty cannot sleep through a delivery that follows.
-	ready chan struct{}
 	// began flips on the first Turn (owner goroutine only): lease
 	// keep-alive launch and journal restore happen there, not in New,
 	// so recovery replay runs on whichever goroutine owns the site.
@@ -435,7 +429,8 @@ type pendingImport struct {
 	sig string // required interface, "" when unchecked
 }
 
-// New creates a site. Call Run (usually via go) to start it.
+// New creates a site. Load it, then drive it with Turn — the node's
+// scheduler does, after installing its wake callback (SetWake).
 func New(cfg Config) *Site {
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
@@ -459,7 +454,6 @@ func New(cfg Config) *Site {
 	s := &Site{
 		cfg:            cfg,
 		prog:           prog,
-		ready:          make(chan struct{}, 1),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 		expNames:       map[string]vm.Value{},
@@ -560,21 +554,19 @@ func (s *Site) tryDeliver(d *Delivery) (bool, error) {
 // noteInput runs after every successful enqueue: it clears the parked
 // mirror — a site with queued input is by definition not waiting for
 // any (the stall detector relies on that, see probe.go) — and rings
-// the scheduler wake, or the Run loop's ready token.
+// the scheduler wake.
 func (s *Site) noteInput() {
 	s.probePark(false)
 	if s.wake != nil {
 		s.wake()
-		return
-	}
-	select {
-	case s.ready <- struct{}{}:
-	default:
 	}
 }
 
-// SetWake installs the turn scheduler's wake callback. It must be
-// called before the site is started (Load/Run/first Deliver).
+// SetWake installs the turn scheduler's wake callback, rung after
+// every enqueue and by Stop: whoever drives Turn parks a site that
+// reported TurnIdle until it rings. Install it before anything can
+// deliver to the site (Load starts import resolvers that do). A site
+// without one is driven by hand: its owner calls Turn when it chooses.
 func (s *Site) SetWake(fn func()) { s.wake = fn }
 
 // InboxOccupancy reports the incoming queue's fill fraction (0..1) —
@@ -652,21 +644,22 @@ func (s *Site) setErr(err error) {
 	s.errMu.Unlock()
 }
 
-// Stop asks the site to exit its run loop.
+// Stop asks the site to finish: its next Turn observes the request
+// and closes Done.
 func (s *Site) Stop() {
 	select {
 	case <-s.stop:
 	default:
 		close(s.stop)
 	}
-	// Under a turn scheduler an idle site only runs when woken — ring
-	// it so the final Turn observes stop and closes done.
+	// An idle site only runs when woken — ring it so the final Turn
+	// observes stop and closes done.
 	if s.wake != nil {
 		s.wake()
 	}
 }
 
-// Kill simulates a fail-stop crash: the run loop exits with the given
+// Kill simulates a fail-stop crash: the site stops with the given
 // error and no orderly shutdown happens. Fault-injection entry point —
 // a supervised node restarts killed sites from their journals.
 func (s *Site) Kill(err error) {
@@ -674,7 +667,7 @@ func (s *Site) Kill(err error) {
 	s.Stop()
 }
 
-// Done is closed when the run loop has exited.
+// Done is closed once the site has stopped: its last Turn has run.
 func (s *Site) Done() <-chan struct{} { return s.done }
 
 // Program is the site's program metadata: the compiled unit plus the
@@ -691,7 +684,7 @@ type Program struct {
 
 // Load registers the site with the name service, links the program
 // unit (imports become pending constants resolved concurrently), and
-// queues the entry thread. Call before Run.
+// queues the entry thread. Call before the first Turn.
 func (s *Site) Load(p *Program) error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ImportTimeout)
 	err := s.cfg.NS.RegisterSite(ctx, s.cfg.Name, s.cfg.ID, s.cfg.NodeID, s.epoch)
@@ -916,41 +909,6 @@ func (s *Site) Turn() (res TurnResult) {
 // finish closes done exactly once; the site is terminal afterwards.
 func (s *Site) finish() {
 	s.finishOnce.Do(func() { close(s.done) })
-}
-
-// Run is the legacy dedicated-goroutine scheduler loop (node
-// SchedConfig.Serial, direct embedders, and the site unit tests):
-// turns run back-to-back, and the goroutine itself blocks on the
-// ready token when a turn parks; the next turn drains what arrived. It
-// returns when Stop is called or the machine faults.
-func (s *Site) Run() {
-	defer s.finish()
-	defer func() {
-		if p := recover(); p != nil {
-			s.setErr(fmt.Errorf("site %s: panic: %v", s.cfg.Name, p))
-		}
-	}()
-	for {
-		switch s.Turn() {
-		case TurnMore:
-		case TurnYield:
-			t := time.NewTimer(time.Millisecond)
-			s.probePark(true)
-			select {
-			case <-s.ready:
-			case <-t.C:
-			case <-s.stop: // the next turn observes it
-			}
-			t.Stop()
-		case TurnIdle:
-			select {
-			case <-s.ready:
-			case <-s.stop:
-			}
-		case TurnStopped:
-			return
-		}
-	}
 }
 
 // keepAlive refreshes the site's name-service lease until the site

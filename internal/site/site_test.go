@@ -68,11 +68,35 @@ func newSite(t *testing.T, name string, src string, out *testutil.Buf, router si
 		NS: ns, Router: router, Out: out,
 		ImportTimeout: 200 * time.Millisecond,
 	})
-	if err := s.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	go s.Run()
+	drive(t, s, prog)
 	return s
+}
+
+// drive runs s on a goroutine of its own the way a node's scheduler
+// does — turns back to back, parked on the wake callback while the
+// site is idle — until it stops. The wake goes in before prog (nil for
+// a restored site) is loaded: Load's import resolvers deliver at once.
+func drive(tb testing.TB, s *site.Site, prog *site.Program) {
+	tb.Helper()
+	wake := make(chan struct{}, 1)
+	s.SetWake(func() {
+		select {
+		case wake <- struct{}{}:
+		default: // a pending wake already covers this one
+		}
+	})
+	if prog != nil {
+		if err := s.Load(prog); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	go func() {
+		for r := s.Turn(); r != site.TurnStopped; r = s.Turn() {
+			if r == site.TurnIdle {
+				<-wake
+			}
+		}
+	}()
 }
 
 func waitSite(t *testing.T, cond func() bool) {
@@ -156,10 +180,7 @@ import svc from far in new r (svc!call[r])`)
 		t.Fatal(err)
 	}
 	s := site.New(site.Config{Name: "client", ID: 1, NodeID: 1, NS: ns, Router: fr})
-	if err := s.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	go s.Run()
+	drive(t, s, prog)
 	defer func() { s.Stop(); <-s.Done() }()
 	waitSite(t, func() bool { return fr.nMsgs() == 1 && s.ExportTableSize() == 1 })
 }
@@ -179,10 +200,7 @@ import K from lib in (K[1] | K[2] | K[3])`)
 		t.Fatal(err)
 	}
 	s := site.New(site.Config{Name: "client", ID: 1, NodeID: 1, NS: ns, Router: fr})
-	if err := s.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	go s.Run()
+	drive(t, s, prog)
 	defer func() { s.Stop(); <-s.Done() }()
 	// Three instantiations of the same remote class must coalesce
 	// into one outstanding fetch.
@@ -209,10 +227,7 @@ func TestSiteDynamicClassArityCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := site.New(site.Config{Name: "client", ID: 1, NodeID: 1, NS: ns, Router: fr})
-	if err := s.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	go s.Run()
+	drive(t, s, prog)
 	defer func() { s.Stop(); <-s.Done() }()
 	waitSite(t, func() bool { return s.Err() != nil })
 	if !strings.Contains(s.Err().Error(), "protocol error") {
@@ -231,7 +246,7 @@ func TestSiteStopIsIdempotent(t *testing.T) {
 }
 
 // rpcServer loads the one-integer call server into a site driven turn
-// by turn (no Run goroutine) and returns it with the heap id of p.
+// by turn (no driver goroutine) and returns it with the heap id of p.
 func rpcServer(tb testing.TB) (*site.Site, uint32) {
 	return journaledRPCServer(tb, nil, 0)
 }
@@ -250,7 +265,7 @@ in export new p Serve[p]`, "p", cfg)
 
 // turnSite loads src into site 1 of a private name service, configured
 // by cfg's journal, checkpoint and router fields (router default: a
-// fakeRouter), and turns it until idle — no Run goroutine: the caller
+// fakeRouter), and turns it until idle — no driver goroutine: the caller
 // drives it with Turn. It returns the site and the heap id it exported
 // name under.
 func turnSite(tb testing.TB, siteName, src, name string, cfg site.Config) (*site.Site, uint32) {

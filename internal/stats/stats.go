@@ -1,143 +1,16 @@
 // Package stats provides the measurement utilities used by the
-// experiment harness: latency histograms with percentile extraction
-// and simple aggregation helpers. The benchmarks of EXPERIMENTS.md are
+// experiment harness and the runtime's telemetry: the mergeable
+// bucketed histogram (BucketHistogram) with percentile extraction, and
+// simple aggregation helpers. The benchmarks of EXPERIMENTS.md are
 // built on these.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
 )
-
-// Histogram is a concurrency-safe sample recorder. It keeps raw
-// samples up to a cap and switches to reservoir sampling beyond it, so
-// percentiles stay meaningful without unbounded memory.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
-	cap     int
-	rng     uint64
-}
-
-// NewHistogram creates a histogram retaining up to capSamples raw
-// samples (default 65536 when <= 0).
-func NewHistogram(capSamples int) *Histogram {
-	if capSamples <= 0 {
-		capSamples = 65536
-	}
-	return &Histogram{cap: capSamples, min: math.Inf(1), max: math.Inf(-1), rng: 0x9e3779b97f4a7c15}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	if len(h.samples) < h.cap {
-		h.samples = append(h.samples, v)
-		return
-	}
-	// Reservoir replacement with an xorshift step.
-	h.rng ^= h.rng << 13
-	h.rng ^= h.rng >> 7
-	h.rng ^= h.rng << 17
-	if idx := h.rng % h.count; idx < uint64(h.cap) {
-		h.samples[idx] = v
-	}
-}
-
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(float64(d.Nanoseconds())) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Sum returns the running total of every observation (0 when empty).
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) over the
-// retained samples.
-func (h *Histogram) Percentile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), h.samples...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Summary renders count/mean/p50/p95/p99/max with a unit label.
-func (h *Histogram) Summary(unit string) string {
-	return fmt.Sprintf("n=%d mean=%.1f%s p50=%.1f%s p95=%.1f%s p99=%.1f%s max=%.1f%s",
-		h.Count(), h.Mean(), unit, h.Percentile(50), unit, h.Percentile(95), unit,
-		h.Percentile(99), unit, h.Max(), unit)
-}
 
 // Counter is a simple labelled counter set for experiment tables.
 type Counter struct {

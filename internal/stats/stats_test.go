@@ -1,94 +1,11 @@
 package stats_test
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/stats"
 )
-
-func TestHistogramBasics(t *testing.T) {
-	h := stats.NewHistogram(0)
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Mean() != 50.5 {
-		t.Fatalf("mean = %f", h.Mean())
-	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %f/%f", h.Min(), h.Max())
-	}
-	if p := h.Percentile(50); p < 49 || p > 52 {
-		t.Fatalf("p50 = %f", p)
-	}
-	if p := h.Percentile(0); p != 1 {
-		t.Fatalf("p0 = %f", p)
-	}
-	if p := h.Percentile(100); p != 100 {
-		t.Fatalf("p100 = %f", p)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := stats.NewHistogram(0)
-	if h.Mean() != 0 || h.Percentile(50) != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramReservoir(t *testing.T) {
-	// With a small cap, the histogram still tracks exact count, sum,
-	// min and max, and percentiles stay approximately right.
-	h := stats.NewHistogram(256)
-	r := rand.New(rand.NewSource(5))
-	const n = 100000
-	for i := 0; i < n; i++ {
-		h.Observe(r.Float64() * 1000)
-	}
-	if h.Count() != n {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if p := h.Percentile(50); p < 350 || p > 650 {
-		t.Fatalf("p50 of uniform(0,1000) = %f (reservoir too skewed)", p)
-	}
-	if h.Max() > 1000 || h.Min() < 0 {
-		t.Fatalf("bounds broken: %f %f", h.Min(), h.Max())
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := stats.NewHistogram(0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Observe(float64(i))
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-}
-
-func TestHistogramDuration(t *testing.T) {
-	h := stats.NewHistogram(0)
-	h.ObserveDuration(2 * time.Microsecond)
-	if h.Mean() != 2000 {
-		t.Fatalf("mean = %f ns", h.Mean())
-	}
-	if s := h.Summary("ns"); s == "" {
-		t.Fatal("empty summary")
-	}
-}
 
 func TestCounter(t *testing.T) {
 	c := stats.NewCounter()

@@ -285,7 +285,7 @@ const (
 	HealthDown     = "down"     // node error or a site out of restart budget
 )
 
-// Health is the /healthz document. Status is derived from heartbeat
+// Health is the /healthz document. Status is derived from membership
 // state (suspected peers), lease/supervision strikes, suspected
 // stalls, and terminal node errors; Reasons says why anything
 // non-ok was concluded.

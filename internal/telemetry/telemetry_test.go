@@ -211,8 +211,8 @@ func TestTelemetryHooksFeedMetricsAndRecorder(t *testing.T) {
 	op := wire.OpRef{Site: 2, Epoch: 1, ID: 1}
 	tr := tel.NextTrace()
 	tel.Origin(tr, 2)
-	tel.Ship(tr, wire.FMsg, op, 1)                // same-node fast path: delivered below
-	tel.Ship(0, wire.FHeartbeat, wire.OpRef{}, 4) // control frame, untraced
+	tel.Ship(tr, wire.FMsg, op, 1)           // same-node fast path: delivered below
+	tel.Ship(0, wire.FTerm, wire.OpRef{}, 4) // control frame, untraced
 	tel.Deliver(tr, wire.FMsg, op, 9, true)
 	snap := tel.Snapshot()
 	for name, want := range map[string]float64{

@@ -111,8 +111,8 @@ type Tree struct {
 
 // BuildTrees groups events from any number of recorders into one tree
 // per trace ID, ordered by trace ID. Untraced events (Trace == 0) are
-// dropped — they belong to infrastructure traffic (heartbeats,
-// control probes) that never carries a trace.
+// dropped — they belong to infrastructure traffic (gossip and
+// termination probes) that never carries a trace.
 func BuildTrees(events []Event) []Tree {
 	byTrace := map[uint64][]Event{}
 	for _, e := range events {

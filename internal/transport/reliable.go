@@ -460,9 +460,9 @@ func (r *Reliable) SendWithDeadline(dst NodeID, frame []byte, expiry time.Time) 
 }
 
 // SendBestEffort transmits a frame outside the sequence space: no ack,
-// no retransmit, no dedup. Heartbeats use this — their loss is exactly
-// the signal the failure detector exists to observe, and retransmitting
-// them to a dead peer would be self-defeating.
+// no retransmit, no dedup. Gossip probes use this — their loss is
+// exactly the signal the failure detector exists to observe, and
+// retransmitting them to a dead peer would be self-defeating.
 func (r *Reliable) SendBestEffort(dst NodeID, frame []byte) error {
 	if r.closed.Load() {
 		return errClosed

@@ -150,9 +150,8 @@ func (e *Error) Error() string {
 
 // Machine is one TyCO virtual machine instance (one site's engine).
 // It is single-owner by construction: exactly one goroutine — the
-// site's dedicated goroutine under the serial runtime, or whichever
-// scheduler worker currently runs the site's turn under work
-// stealing — may call Step/RunSlice/Requeue at a time. The node
+// scheduler worker currently running the site's turn — may call
+// Step/RunSlice/Requeue at a time. The node
 // scheduler enforces that ownership (a site is on at most one worker
 // deque, and stealing transfers the whole site, never a thread), so
 // the Machine itself needs no locks.

@@ -22,8 +22,9 @@ const (
 	FFetchRep
 	// FTerm carries a termination-detection control payload.
 	FTerm
-	// FHeartbeat carries a failure-detector heartbeat.
-	FHeartbeat
+	// 6 is reserved (a retired type), so the types below keep their
+	// bytes.
+	_
 
 	// The following types never appear in an Envelope: they are the
 	// packet headers of the reliable delivery layer
@@ -35,7 +36,7 @@ const (
 	// FAck acknowledges one received FData sequence number.
 	FAck
 	// FRaw is a best-effort payload outside the sequence space
-	// (heartbeats: their loss is the failure detector's signal).
+	// (gossip probes: their loss is the failure detector's signal).
 	FRaw
 
 	// FBatch packs several envelopes coalesced for one peer into a
@@ -46,9 +47,9 @@ const (
 
 	// FGossip carries a SWIM membership payload (ping / ack /
 	// ping-req / piggybacked state updates, internal/membership).
-	// Dedicated gossip probes travel best-effort like heartbeats —
-	// their loss is the phi-accrual detector's signal — while
-	// piggybacked updates ride inside coalesced batches.
+	// Dedicated gossip probes travel best-effort (FRaw) — their loss
+	// is the phi-accrual detector's signal — while piggybacked updates
+	// ride inside coalesced batches.
 	FGossip
 )
 
@@ -64,8 +65,6 @@ func (t FrameType) String() string {
 		return "fetchrep"
 	case FTerm:
 		return "term"
-	case FHeartbeat:
-		return "heartbeat"
 	case FData:
 		return "data"
 	case FAck:

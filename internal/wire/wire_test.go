@@ -162,6 +162,20 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameTypeBytes pins every frame type's byte: the type byte is on
+// the wire and in journals, so a renumbering would break mixed-version
+// clusters and replay of existing logs. 6 stays unassigned.
+func TestFrameTypeBytes(t *testing.T) {
+	for ft, want := range map[wire.FrameType]uint8{
+		wire.FMsg: 1, wire.FObj: 2, wire.FFetchReq: 3, wire.FFetchRep: 4, wire.FTerm: 5,
+		wire.FData: 7, wire.FAck: 8, wire.FRaw: 9, wire.FBatch: 10, wire.FGossip: 11,
+	} {
+		if uint8(ft) != want {
+			t.Errorf("%s = %d, want %d", ft, uint8(ft), want)
+		}
+	}
+}
+
 func TestDecodeCorruptionIsSafe(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	m := &wire.Msg{To: vm.NetRef{Heap: 1, Site: 2, Node: 3}, Label: "l",

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/journal"
 	"repro/internal/membership"
 	"repro/internal/telemetry"
@@ -61,8 +60,8 @@ func TestMembershipFlappingLinkBoundedFalsePositives(t *testing.T) {
 			DeadAfter:    500 * time.Millisecond,
 			Seed:         *chaosSeed,
 		},
-		OnSuspect: func(observer uint32, e failure.Event) {
-			if e.Suspected {
+		OnSuspect: func(observer uint32, e membership.Event) {
+			if e.State == membership.StateSuspect {
 				susMu.Lock()
 				falseSuspicions++
 				susMu.Unlock()

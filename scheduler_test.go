@@ -1,7 +1,7 @@
 // Work-stealing runtime integration tests (DESIGN.md §15): the
 // scheduler may reorder work *between* sites freely, but each site's
-// observable history — its journal — must be exactly what the serial
-// runtime produces, batches must flush when workers go idle rather
+// observable history — its journal — must be exactly what a one-worker
+// pool produces, batches must flush when workers go idle rather
 // than waiting out the coalescing deadline, and the admission plane
 // must keep sampling sojourn correctly when many workers feed it.
 package repro
@@ -22,15 +22,16 @@ import (
 	"repro/internal/transport"
 )
 
-// TestStealingSchedulerJournalsMatchSerial is the per-site replay
-// determinism check: run the same many-site ping-pong workload under
-// the legacy serial runtime and under a 4-worker stealing scheduler,
-// with write-ahead journals on and checkpointing off, and require
-// every server site's journal to be byte-identical across the two
-// runs. Each server is fed by exactly one sequential client, so its
-// delivery stream is deterministic; the scheduler moving sites
-// between workers must not change what any single site records.
-func TestStealingSchedulerJournalsMatchSerial(t *testing.T) {
+// TestSchedulerJournalsMatchAcrossWorkerCounts is the per-site replay
+// determinism check: run the same many-site ping-pong workload on one
+// scheduler worker (the serial reference: nothing to steal from) and
+// on a 4-worker stealing pool, both with a fixed seed, write-ahead
+// journals on and checkpointing off, and require every server site's
+// journal to be byte-identical across the two runs. Each server is fed
+// by exactly one sequential client, so its delivery stream is
+// deterministic; the scheduler moving sites between workers must not
+// change what any single site records.
+func TestSchedulerJournalsMatchAcrossWorkerCounts(t *testing.T) {
 	const pairs = 6
 	const calls = 25
 	run := func(sched node.SchedConfig) map[string][]journal.Record {
@@ -87,25 +88,25 @@ in Call[%d]`, srv, calls)
 		return out
 	}
 
-	serial := run(node.SchedConfig{Serial: true})
+	serial := run(node.SchedConfig{Workers: 1, Seed: 1})
 	stolen := run(node.SchedConfig{Workers: 4, Seed: 1})
 	if len(serial) != pairs {
-		t.Fatalf("serial run journaled %d server sites, want %d", len(serial), pairs)
+		t.Fatalf("1-worker run journaled %d server sites, want %d", len(serial), pairs)
 	}
 	for name, want := range serial {
 		got, ok := stolen[name]
 		if !ok {
-			t.Fatalf("stealing run has no journal for %s", name)
+			t.Fatalf("4-worker run has no journal for %s", name)
 		}
 		if len(want) == 0 {
-			t.Fatalf("empty serial journal for %s (nothing under comparison)", name)
+			t.Fatalf("empty 1-worker journal for %s (nothing under comparison)", name)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d records under stealing, %d under serial", name, len(got), len(want))
+			t.Fatalf("%s: %d records on 4 workers, %d on 1", name, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Kind != want[i].Kind || !bytes.Equal(got[i].Data, want[i].Data) {
-				t.Fatalf("%s: record %d diverges: serial {%d %x}, stealing {%d %x}",
+				t.Fatalf("%s: record %d diverges: 1 worker {%d %x}, 4 workers {%d %x}",
 					name, i, want[i].Kind, want[i].Data, got[i].Kind, got[i].Data)
 			}
 		}
