@@ -31,7 +31,7 @@ func main() {
 		nodeID  = flag.Uint("node", 1, "node identifier (unique across the network)")
 		listen  = flag.String("listen", ":7101", "TyCOd transport listen address")
 		ioport  = flag.String("ioport", ":7201", "TyCOi submission listen address")
-		nsAddr  = flag.String("ns", "localhost:7070", "name service address(es), comma-separated for the replicated service")
+		nsAddr  = flag.String("ns", "localhost:7070", "name service address (one tyconame; it may shard the namespace behind that address)")
 		peerStr = flag.String("peers", "", "comma-separated peer list: id=host:port,…")
 		telem   = flag.Bool("telemetry", true, "metrics registry + flight recorder (tycosh stats/trace)")
 		tracing = flag.Bool("trace", false, "causal mobility tracing (adds a trace varint to every envelope; see DESIGN.md §11)")
@@ -54,34 +54,14 @@ func main() {
 		}
 	}
 
-	// One address: the centralized service of the paper's first
-	// implementation. Several: the replicated future-work variant —
-	// registrations go to a quorum, lookups race the replicas.
-	var ns nameservice.Service
-	addrs := strings.Split(*nsAddr, ",")
-	if len(addrs) == 1 {
-		cli, err := nameservice.Dial(addrs[0])
-		if err != nil {
-			fatal(fmt.Errorf("name service at %s: %w", addrs[0], err))
-		}
-		defer cli.Close()
-		ns = cli
-	} else {
-		replicas := make([]nameservice.Service, 0, len(addrs))
-		for _, a := range addrs {
-			cli, err := nameservice.Dial(strings.TrimSpace(a))
-			if err != nil {
-				fatal(fmt.Errorf("name service replica at %s: %w", a, err))
-			}
-			defer cli.Close()
-			replicas = append(replicas, cli)
-		}
-		rep, err := nameservice.NewReplicated(replicas...)
-		if err != nil {
-			fatal(err)
-		}
-		ns = rep
+	if strings.Contains(*nsAddr, ",") {
+		fatal(fmt.Errorf("-ns takes one address, got %q", *nsAddr))
 	}
+	ns, err := nameservice.Dial(*nsAddr)
+	if err != nil {
+		fatal(fmt.Errorf("name service at %s: %w", *nsAddr, err))
+	}
+	defer ns.Close()
 
 	tr, err := transport.NewTCP(uint32(*nodeID), *listen, peers)
 	if err != nil {

@@ -22,27 +22,14 @@ import (
 func main() {
 	listen := flag.String("listen", ":7070", "address to serve the name service on")
 	shards := flag.Int("shards", 1, "consistent-hash shard count (>1 partitions the namespace under a versioned shard map, DESIGN.md §16)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard-ring member (0 = default)")
 	lease := flag.Duration("lease", 0, "lease TTL for registrations (0 = no leases)")
 	flag.Parse()
 
-	var svc nameservice.Service
-	switch {
-	case *shards > 1:
-		members := make([]uint32, *shards)
-		for i := range members {
-			members[i] = uint32(i + 1)
-		}
-		svc = nameservice.NewSharded(nameservice.ShardedConfig{
-			Members:  members,
-			Vnodes:   *vnodes,
-			LeaseTTL: *lease,
-		})
-	case *lease > 0:
-		svc = nameservice.NewCentralWithLeases(*lease)
-	default:
-		svc = nameservice.NewCentral()
+	members := make([]uint32, max(*shards, 1))
+	for i := range members {
+		members[i] = uint32(i + 1)
 	}
+	svc := nameservice.NewSharded(nameservice.ShardedConfig{Members: members, LeaseTTL: *lease})
 	srv, err := nameservice.NewServer(svc, *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tyconame:", err)
@@ -54,8 +41,6 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("\ntyconame: shutting down")
-	if d, ok := svc.(interface{ Dump() string }); ok {
-		fmt.Print(d.Dump())
-	}
+	fmt.Print(svc.Dump())
 	srv.Close()
 }

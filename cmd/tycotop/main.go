@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		nsAddr   = flag.String("ns", "", "name service address(es), comma-separated; endpoints are re-discovered every frame")
+		nsAddr   = flag.String("ns", "", "name service address; endpoints are re-discovered every frame")
 		nodeStr  = flag.String("nodes", "", "explicit endpoint list: id=host:port,… (bypasses the name service)")
 		once     = flag.Bool("once", false, "render a single frame and exit")
 		jsonOut  = flag.Bool("json", false, "emit the cluster view as JSON instead of a table")
@@ -56,14 +56,17 @@ func main() {
 		}
 	}
 
-	var ns nameservice.Service
+	var ns *nameservice.Client
 	if static == nil {
-		svc, closeAll, err := dialNS(*nsAddr)
-		if err != nil {
-			fatal(err)
+		if strings.Contains(*nsAddr, ",") {
+			fatal(fmt.Errorf("-ns takes one address, got %q", *nsAddr))
 		}
-		defer closeAll()
-		ns = svc
+		cli, err := nameservice.Dial(*nsAddr)
+		if err != nil {
+			fatal(fmt.Errorf("name service at %s: %w", *nsAddr, err))
+		}
+		defer cli.Close()
+		ns = cli
 	}
 
 	for {
@@ -92,39 +95,6 @@ func main() {
 		}
 		time.Sleep(*interval)
 	}
-}
-
-// dialNS connects to one name server (centralized) or several
-// (replicated), mirroring dityco's -ns flag.
-func dialNS(spec string) (nameservice.Service, func(), error) {
-	addrs := strings.Split(spec, ",")
-	clients := make([]*nameservice.Client, 0, len(addrs))
-	closeAll := func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}
-	for _, a := range addrs {
-		cli, err := nameservice.Dial(strings.TrimSpace(a))
-		if err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("name service at %s: %w", a, err)
-		}
-		clients = append(clients, cli)
-	}
-	if len(clients) == 1 {
-		return clients[0], closeAll, nil
-	}
-	replicas := make([]nameservice.Service, len(clients))
-	for i, c := range clients {
-		replicas[i] = c
-	}
-	rep, err := nameservice.NewReplicated(replicas...)
-	if err != nil {
-		closeAll()
-		return nil, nil, err
-	}
-	return rep, closeAll, nil
 }
 
 func fatal(err error) {

@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Myrinet)
 	defer fabric.Close()
 	// A fault controller on every link (no background faults — it is

@@ -112,7 +112,9 @@ type ClusterConfig struct {
 	ForceMarshalLocal bool
 	// Out is the default I/O port for sites (default: discard).
 	Out io.Writer
-	// NS overrides the name service (default: a fresh Central).
+	// NS overrides the name service (default: a fresh authority,
+	// nameservice.NewSharded, shaped by LeaseTTL and NSShards).
+	// Membership verdicts fence only the built-in authority.
 	NS nameservice.Service
 	// Chaos, when non-nil, interposes a deterministic fault model
 	// between every node and the fabric (drops, duplication,
@@ -147,16 +149,12 @@ type ClusterConfig struct {
 	// dead site's names fail fast instead of blocking importers forever.
 	// Sites refresh at LeaseTTL/3.
 	LeaseTTL time.Duration
-	// NSShards, when > 1 and NS is unset, shards the built-in name
-	// service by consistent hashing (DESIGN.md §16): the namespace is
-	// partitioned across ring members 1..NSShards under a versioned
-	// shard map, and membership convictions (Detect) evict members from
-	// the ring with their keys migrated to the survivors. LeaseTTL
-	// applies per shard.
+	// NSShards, when > 1 and NS is unset, partitions the built-in name
+	// service by consistent hashing (DESIGN.md §16) across ring members
+	// 1..NSShards under a versioned shard map; membership convictions
+	// (Detect) evict members from the ring with their keys migrated to
+	// the survivors. The default is a one-member ring.
 	NSShards int
-	// NSVnodes overrides the virtual nodes per ring member (default
-	// nameservice.DefaultVnodes; only meaningful with NSShards).
-	NSVnodes int
 	// NSCache, when non-nil, gives every node a private client lease
 	// cache in front of the shared name service: positive and negative
 	// entries under a TTL, flushed selectively (moved key ranges only)
@@ -220,6 +218,7 @@ type spawnRec struct {
 type Cluster struct {
 	cfg    ClusterConfig
 	ns     nameservice.Service
+	auth   *nameservice.Sharded // the built-in authority; nil when cfg.NS is set
 	fabric *transport.Fabric
 	chaos  *transport.Chaos
 	det    *termination.Detector
@@ -253,26 +252,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg.Reliability = &rel
 	}
 	ns := cfg.NS
+	var auth *nameservice.Sharded
 	if ns == nil {
-		switch {
-		case cfg.NSShards > 1:
-			members := make([]uint32, cfg.NSShards)
-			for i := range members {
-				members[i] = uint32(i + 1)
-			}
-			ns = nameservice.NewSharded(nameservice.ShardedConfig{
-				Members:  members,
-				Vnodes:   cfg.NSVnodes,
-				LeaseTTL: cfg.LeaseTTL,
-			})
-		case cfg.LeaseTTL > 0:
-			ns = nameservice.NewCentralWithLeases(cfg.LeaseTTL)
-		default:
-			ns = nameservice.NewCentral()
+		members := make([]uint32, max(cfg.NSShards, 1))
+		for i := range members {
+			members[i] = uint32(i + 1)
 		}
+		auth = nameservice.NewSharded(nameservice.ShardedConfig{Members: members, LeaseTTL: cfg.LeaseTTL})
+		ns = auth
 	}
 	fabric := transport.NewFabric(cfg.Link)
-	c := &Cluster{cfg: cfg, ns: ns, fabric: fabric, dead: map[uint32]bool{}}
+	c := &Cluster{cfg: cfg, ns: ns, auth: auth, fabric: fabric, dead: map[uint32]bool{}}
 	if cfg.Chaos != nil {
 		c.chaos = transport.NewChaos(*cfg.Chaos)
 	}
@@ -327,7 +317,7 @@ func (c *Cluster) newNode(id uint32, epoch uint32) (*node.Node, *transport.Mem, 
 	// failures or cached entries never leak into another's view.
 	nodeNS := c.ns
 	if c.cfg.NSBreaker != nil {
-		nodeNS = nameservice.NewShardBreaker(nodeNS, *c.cfg.NSBreaker)
+		nodeNS = nameservice.NewBreaker(nodeNS, *c.cfg.NSBreaker)
 	}
 	if c.cfg.NSCache != nil {
 		nodeNS = nameservice.NewCache(nodeNS, *c.cfg.NSCache)
@@ -427,16 +417,16 @@ func (c *Cluster) attachMembership(n *node.Node) *membership.M {
 }
 
 // onMembership handles one transition of observer's view: Dead and
-// Left verdicts fence the node in the name service, so its leases
-// expire immediately instead of at TTL, and Alive lifts the fence;
-// then OnSuspect sees the event unchanged.
+// Left verdicts fence the node in the built-in authority, so its
+// leases expire immediately instead of at TTL, and Alive lifts the
+// fence; then OnSuspect sees the event unchanged.
 func (c *Cluster) onMembership(observer uint32, e membership.Event) {
-	if f, ok := c.ns.(nameservice.NodeFencer); ok {
+	if c.auth != nil {
 		switch e.State {
 		case membership.StateDead, membership.StateLeft:
-			f.FenceNode(e.Node)
+			c.auth.FenceNode(e.Node)
 		case membership.StateAlive:
-			f.UnfenceNode(e.Node)
+			c.auth.UnfenceNode(e.Node)
 		}
 	}
 	if c.cfg.OnSuspect != nil {

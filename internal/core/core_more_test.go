@@ -193,8 +193,7 @@ func sortedOut(s string) string {
 // a TCP name service, two nodes on TCP transports, cross-node
 // messaging, code fetching and object shipping over real sockets.
 func TestTCPClusterEndToEnd(t *testing.T) {
-	central := nameservice.NewCentral()
-	nsSrv, err := nameservice.NewServer(central, "127.0.0.1:0")
+	nsSrv, err := nameservice.NewServer(nameservice.NewSharded(nameservice.ShardedConfig{}), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

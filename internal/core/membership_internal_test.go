@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -8,24 +10,23 @@ import (
 	"repro/internal/nameservice"
 )
 
-// fenceRecorder is a name service that records fences.
-type fenceRecorder struct {
-	nameservice.Service
-	fenced map[uint32]bool
-}
-
-func (f *fenceRecorder) FenceNode(node uint32)   { f.fenced[node] = true }
-func (f *fenceRecorder) UnfenceNode(node uint32) { delete(f.fenced, node) }
-
 // TestSecondHandDeathReachesHookAndFences: a death an observer learns by
 // gossip arrives as Alive→Dead, with no Suspect step in its own view. It
 // must still reach OnSuspect — a master requeueing work on suspicion
 // would otherwise miss the crash — and fence the node in the name
 // service. A later rejoin lifts the fence and reaches the hook too.
 func TestSecondHandDeathReachesHookAndFences(t *testing.T) {
-	ns := &fenceRecorder{fenced: map[uint32]bool{}}
+	ctx := context.Background()
+	auth := nameservice.NewSharded(nameservice.ShardedConfig{})
+	if err := auth.RegisterSite(ctx, "s", 1, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	fenced := func() bool {
+		_, _, err := auth.LookupSite(ctx, "s")
+		return errors.Is(err, nameservice.ErrNameExpired)
+	}
 	var got []membership.Event
-	c := &Cluster{ns: ns, cfg: ClusterConfig{
+	c := &Cluster{ns: auth, auth: auth, cfg: ClusterConfig{
 		OnSuspect: func(observer uint32, e membership.Event) {
 			if observer != 1 {
 				t.Errorf("observer = %d, want 1", observer)
@@ -38,7 +39,7 @@ func TestSecondHandDeathReachesHookAndFences(t *testing.T) {
 	if len(got) != 1 || got[0] != dead {
 		t.Fatalf("hook saw %+v, want the Alive→Dead event", got)
 	}
-	if !ns.fenced[3] {
+	if !fenced() {
 		t.Fatal("second-hand death did not fence node 3")
 	}
 
@@ -47,7 +48,7 @@ func TestSecondHandDeathReachesHookAndFences(t *testing.T) {
 	if len(got) != 2 || got[1] != rejoin {
 		t.Fatalf("hook saw %+v, want the rejoin second", got)
 	}
-	if ns.fenced[3] {
+	if fenced() {
 		t.Fatal("rejoin did not lift the fence on node 3")
 	}
 }

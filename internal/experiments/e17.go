@@ -16,7 +16,7 @@ import (
 // (DESIGN.md §16).
 //
 // The drill stands up the full NS stack the cluster runs — a sharded
-// authority, and per-client Cache(ShardBreaker(…)) decorator chains —
+// authority, and per-client Cache(Breaker(…)) decorator chains —
 // and pushes it through three phases:
 //
 //  1. load: register S sites × K names each (1M names full scale, 50k
@@ -57,7 +57,7 @@ func E17(o Options) (*Table, error) {
 	clients := make([]*nameservice.Cache, workers)
 	for w := range clients {
 		clients[w] = nameservice.NewCache(
-			nameservice.NewShardBreaker(shard, nameservice.BreakerConfig{}),
+			nameservice.NewBreaker(shard, nameservice.BreakerConfig{}),
 			nameservice.CacheConfig{TTL: 10 * time.Minute},
 		)
 	}

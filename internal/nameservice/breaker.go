@@ -7,16 +7,22 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/vm"
 )
 
 // Circuit breaker for the name service (DESIGN.md §14). A client whose
-// lookups keep timing out or bouncing off an overloaded server should
-// stop hammering it — every doomed call holds a goroutine, a pending
-// table slot, and a share of the server's queue that paying customers
-// need. The breaker wraps any Service (normally a *Client) and fails
-// lookups fast while the downstream is sick.
+// lookups keep timing out against a sick server should stop hammering
+// it — every doomed call holds a goroutine, a pending table slot, and a
+// share of the server's queue that paying customers need. The breaker
+// wraps any Service (normally a *Client) and fails lookups fast while
+// the downstream is sick.
+//
+// It keeps one circuit per shard owner, routed by the same key → owner
+// mapping the authority uses, so a hot or dead shard opens only its own
+// circuit and lookups under every other key range keep flowing. With no
+// shard map (the wrapped service is not a MapSource, or the map fetch
+// failed), a single-member ring, or no key (Endpoints), calls share
+// circuit 0.
 //
 // Only the blocking lookups are gated. Registrations and KeepAlive are
 // control traffic: they are what lets a site keep its lease and a node
@@ -24,9 +30,9 @@ import (
 // overload, so they pass through untouched (and unobserved — a slow
 // register must not blow the breaker for lookups).
 
-// ErrCircuitOpen is returned by gated calls while the breaker is open.
-// Like admission.ErrOverloaded it is retryable pushback, not a verdict
-// about the name being looked up.
+// ErrCircuitOpen is returned by gated calls while the key's circuit is
+// open. It is retryable pushback, not a verdict about the name being
+// looked up.
 var ErrCircuitOpen = errors.New("nameservice: circuit open")
 
 // Breaker states, ordered by severity (exported for telemetry gauges).
@@ -39,14 +45,14 @@ const (
 // BreakerConfig tunes a Breaker. The zero value of any field selects
 // its default.
 type BreakerConfig struct {
-	// Failures is how many consecutive tripping failures open the
-	// breaker (default 5).
+	// Failures is how many consecutive tripping failures open a
+	// circuit (default 5).
 	Failures int
-	// Cooldown is how long the breaker stays open before letting
-	// probes through (default 1s).
+	// Cooldown is how long a circuit stays open before letting probes
+	// through (default 1s).
 	Cooldown time.Duration
 	// HalfOpenProbes is how many concurrent probe calls the half-open
-	// state admits (default 1). One probe success closes the breaker;
+	// state admits (default 1). One probe success closes the circuit;
 	// one failure re-opens it for another Cooldown.
 	HalfOpenProbes int
 }
@@ -64,132 +70,186 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-// Breaker is a Service wrapper that fails lookups fast while the
-// wrapped service is overloaded or unreachable.
-type Breaker struct {
-	inner Service
-	cfg   BreakerConfig
-
-	mu        sync.Mutex
+// circuit is one shard owner's breaker state.
+type circuit struct {
 	state     int
 	failures  int       // consecutive tripping failures while closed
-	openedAt  time.Time // when the breaker last opened
+	openedAt  time.Time // when the circuit last opened
 	probes    int       // in-flight probes while half-open
 	trips     uint64    // closed→open transitions
 	fastFails uint64    // calls rejected without touching the service
-	now       func() time.Time
+}
+
+// Breaker is a Service wrapper that fails lookups fast, per shard
+// owner, while the wrapped service is unreachable or timing out.
+type Breaker struct {
+	inner Service
+	src   MapSource // nil when the wrapped service carries no map
+	cfg   BreakerConfig
+	now   func() time.Time
+
+	mu       sync.Mutex
+	circuits map[uint32]*circuit // keyed by shard owner; 0 = shared
 }
 
 var _ Service = (*Breaker)(nil)
 
-// NewBreaker wraps svc in a circuit breaker.
+// NewBreaker wraps svc in per-shard circuit breakers.
 func NewBreaker(svc Service, cfg BreakerConfig) *Breaker {
-	return &Breaker{inner: svc, cfg: cfg.withDefaults(), now: time.Now}
+	b := &Breaker{inner: svc, cfg: cfg.withDefaults(), now: time.Now, circuits: map[uint32]*circuit{}}
+	b.src, _ = svc.(MapSource)
+	return b
 }
 
 // Unwrap returns the wrapped service (introspection walks the chain).
 func (b *Breaker) Unwrap() Service { return b.inner }
 
-// State reports the current breaker state (BreakerClosed/HalfOpen/Open).
+// State reports the worst state across all circuits — the single-gauge
+// summary for telemetry (a namespace with one open shard reads open).
 func (b *Breaker) State() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.stateLocked()
+	worst := BreakerClosed
+	for _, c := range b.circuits {
+		if s := b.stateLocked(c); s > worst {
+			worst = s
+		}
+	}
+	return worst
 }
 
-// Trips reports how many times the breaker has opened.
+// Trips sums closed→open transitions across all circuits.
 func (b *Breaker) Trips() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.trips
+	var n uint64
+	for _, c := range b.circuits {
+		n += c.trips
+	}
+	return n
 }
 
-// FastFails reports how many gated calls were rejected while open.
+// FastFails sums gated calls rejected across all circuits.
 func (b *Breaker) FastFails() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.fastFails
-}
-
-// stateLocked folds cooldown expiry into the read: an open breaker
-// whose cooldown has elapsed reads (and becomes) half-open.
-func (b *Breaker) stateLocked() int {
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cfg.Cooldown {
-		b.state = BreakerHalfOpen
-		b.probes = 0
+	var n uint64
+	for _, c := range b.circuits {
+		n += c.fastFails
 	}
-	return b.state
+	return n
 }
 
-// admit decides whether one gated call may proceed. It returns a
-// non-nil done callback to invoke with the call's verdict, or
-// ErrCircuitOpen to fail fast.
-func (b *Breaker) admit() (func(err error), error) {
+// stateLocked folds cooldown expiry into the read: an open circuit
+// whose cooldown has elapsed reads (and becomes) half-open.
+func (b *Breaker) stateLocked(c *circuit) int {
+	if c.state == BreakerOpen && b.now().Sub(c.openedAt) >= b.cfg.Cooldown {
+		c.state = BreakerHalfOpen
+		c.probes = 0
+	}
+	return c.state
+}
+
+// owner resolves the circuit key for a lookup key. The map read is
+// cheap: the authority answers from memory and the TCP client caches
+// the map by version.
+func (b *Breaker) owner(ctx context.Context, key string) uint32 {
+	if b.src == nil || key == "" {
+		return 0
+	}
+	m, err := b.src.ShardMap(ctx)
+	if err != nil || len(m.Members) < 2 {
+		return 0
+	}
+	o, _ := m.Owner(key)
+	return o
+}
+
+// MapVersion implements MapSource (pass-through), so a Cache stacked
+// on the breaker still flushes moved key ranges.
+func (b *Breaker) MapVersion() uint64 {
+	if b.src == nil {
+		return 0
+	}
+	return b.src.MapVersion()
+}
+
+// ShardMap implements MapSource (pass-through).
+func (b *Breaker) ShardMap(ctx context.Context) (*ShardMap, error) {
+	if b.src == nil {
+		return nil, errors.New("nameservice: no shard map source")
+	}
+	return b.src.ShardMap(ctx)
+}
+
+// gate runs one lookup through key's circuit.
+func (b *Breaker) gate(ctx context.Context, key string, call func() error) error {
+	owner := b.owner(ctx, key)
 	b.mu.Lock()
-	switch b.stateLocked() {
+	c := b.circuits[owner]
+	if c == nil {
+		c = &circuit{}
+		b.circuits[owner] = c
+	}
+	switch b.stateLocked(c) {
 	case BreakerOpen:
-		b.fastFails++
+		c.fastFails++
 		b.mu.Unlock()
-		return nil, ErrCircuitOpen
+		return ErrCircuitOpen
 	case BreakerHalfOpen:
-		if b.probes >= b.cfg.HalfOpenProbes {
-			b.fastFails++
+		if c.probes >= b.cfg.HalfOpenProbes {
+			c.fastFails++
 			b.mu.Unlock()
-			return nil, ErrCircuitOpen
+			return ErrCircuitOpen
 		}
-		b.probes++
+		c.probes++
 	}
 	b.mu.Unlock()
-	return b.settle, nil
+	err := call()
+	b.settle(c, err)
+	return err
 }
 
-// settle records one gated call's outcome and drives the state machine.
-func (b *Breaker) settle(err error) {
+// settle records one gated call's outcome and drives c's state machine.
+func (b *Breaker) settle(c *circuit, err error) {
 	tripping := isTripping(err)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerHalfOpen:
-		b.probes--
+	switch {
+	case c.state == BreakerHalfOpen:
+		c.probes--
 		if tripping {
 			// The probe failed: the downstream is still sick.
-			b.state = BreakerOpen
-			b.openedAt = b.now()
-			b.trips++
-		} else if err == nil {
-			// One good probe closes the breaker; terminal server-side
+			c.state = BreakerOpen
+			c.openedAt = b.now()
+			c.trips++
+		} else {
+			// One good probe closes the circuit; terminal server-side
 			// errors (unknown name) prove liveness just as well.
-			b.state = BreakerClosed
-			b.failures = 0
-		} else {
-			b.state = BreakerClosed
-			b.failures = 0
+			c.state = BreakerClosed
+			c.failures = 0
 		}
-	default: // closed
-		if tripping {
-			b.failures++
-			if b.failures >= b.cfg.Failures {
-				b.state = BreakerOpen
-				b.openedAt = b.now()
-				b.trips++
-			}
-		} else {
-			b.failures = 0
+	case !tripping:
+		c.failures = 0
+	default: // closed, tripping
+		c.failures++
+		if c.failures >= b.cfg.Failures {
+			c.state = BreakerOpen
+			c.openedAt = b.now()
+			c.trips++
 		}
 	}
 }
 
 // isTripping classifies failures that indicate a sick downstream —
-// overload pushback, deadline expiry, network timeouts — as opposed to
+// deadline expiry, network timeouts, a lost connection — as opposed to
 // terminal per-name verdicts (unknown name, signature clash), which
 // prove the service is alive and answering.
 func isTripping(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, admission.ErrOverloaded) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return true
 	}
 	var ne net.Error
@@ -199,47 +259,37 @@ func isTripping(err error) bool {
 	return isTransient(err)
 }
 
-// gate runs one lookup through the breaker.
-func (b *Breaker) gate(call func() error) error {
-	done, err := b.admit()
-	if err != nil {
-		return err
-	}
-	err = call()
-	done(err)
-	return err
-}
-
-// LookupSite implements Service (gated).
+// LookupSite implements Service (gated per shard).
 func (b *Breaker) LookupSite(ctx context.Context, name string) (site, node uint32, err error) {
-	err = b.gate(func() error {
+	err = b.gate(ctx, name, func() error {
 		site, node, err = b.inner.LookupSite(ctx, name)
 		return err
 	})
 	return
 }
 
-// LookupName implements Service (gated).
+// LookupName implements Service (gated per shard).
 func (b *Breaker) LookupName(ctx context.Context, siteName, id string) (ref vm.NetRef, sig string, err error) {
-	err = b.gate(func() error {
+	err = b.gate(ctx, siteName, func() error {
 		ref, sig, err = b.inner.LookupName(ctx, siteName, id)
 		return err
 	})
 	return
 }
 
-// LookupClass implements Service (gated).
+// LookupClass implements Service (gated per shard).
 func (b *Breaker) LookupClass(ctx context.Context, siteName, class string) (nc vm.NetClass, sig string, err error) {
-	err = b.gate(func() error {
+	err = b.gate(ctx, siteName, func() error {
 		nc, sig, err = b.inner.LookupClass(ctx, siteName, class)
 		return err
 	})
 	return
 }
 
-// Endpoints implements Service (gated).
+// Endpoints implements Service (gated on circuit 0: enumeration has no
+// shard key).
 func (b *Breaker) Endpoints(ctx context.Context, kind string) (eps map[uint32]string, err error) {
-	err = b.gate(func() error {
+	err = b.gate(ctx, "", func() error {
 		eps, err = b.inner.Endpoints(ctx, kind)
 		return err
 	})
@@ -270,294 +320,3 @@ func (b *Breaker) KeepAlive(ctx context.Context, siteName string, epoch uint32) 
 func (b *Breaker) RegisterEndpoint(ctx context.Context, node uint32, kind, addr string) error {
 	return b.inner.RegisterEndpoint(ctx, node, kind, addr)
 }
-
-// ShardBreaker is the sharded evolution of Breaker: one circuit per
-// shard owner, routed by the same key → owner mapping the sharded
-// service uses. A hot or dead shard opens only its own circuit —
-// lookups under every other key range keep flowing, where the single
-// Breaker would have opened for the whole namespace. Keys that cannot
-// be routed (no shard map yet, map fetch failed) share one fallback
-// circuit, which also makes ShardBreaker a drop-in Breaker for an
-// unsharded service.
-type ShardBreaker struct {
-	inner Service
-	src   MapSource // nil when the wrapped service carries no map
-	cfg   BreakerConfig
-
-	mu       sync.Mutex
-	breakers map[uint32]*Breaker // keyed by shard owner; 0 = fallback
-}
-
-var _ Service = (*ShardBreaker)(nil)
-
-// NewShardBreaker wraps svc in per-shard circuit breakers.
-func NewShardBreaker(svc Service, cfg BreakerConfig) *ShardBreaker {
-	b := &ShardBreaker{inner: svc, cfg: cfg.withDefaults(), breakers: map[uint32]*Breaker{}}
-	if src, ok := svc.(MapSource); ok {
-		b.src = src
-	}
-	return b
-}
-
-// Unwrap returns the wrapped service (introspection walks the chain).
-func (b *ShardBreaker) Unwrap() Service { return b.inner }
-
-// breakerFor resolves the circuit guarding key's shard. The map read
-// is cheap: sharded services answer from memory and the TCP client
-// caches the map by version.
-func (b *ShardBreaker) breakerFor(ctx context.Context, key string) *Breaker {
-	owner := uint32(0)
-	if b.src != nil {
-		if m, err := b.src.ShardMap(ctx); err == nil {
-			if o, ok := m.Owner(key); ok {
-				owner = o
-			}
-		}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	br := b.breakers[owner]
-	if br == nil {
-		br = NewBreaker(nil, b.cfg)
-		b.breakers[owner] = br
-	}
-	return br
-}
-
-// gate runs one lookup through its shard's circuit.
-func (b *ShardBreaker) gate(ctx context.Context, key string, call func() error) error {
-	br := b.breakerFor(ctx, key)
-	done, err := br.admit()
-	if err != nil {
-		return err
-	}
-	err = call()
-	done(err)
-	return err
-}
-
-// State reports the worst state across all shard circuits — the
-// single-gauge summary for telemetry (a namespace with one open shard
-// reads open there, and the per-shard detail lives in ShardStates).
-func (b *ShardBreaker) State() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	worst := BreakerClosed
-	for _, br := range b.breakers {
-		if s := br.State(); s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
-// Trips sums closed→open transitions across all shard circuits.
-func (b *ShardBreaker) Trips() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var n uint64
-	for _, br := range b.breakers {
-		n += br.Trips()
-	}
-	return n
-}
-
-// FastFails sums rejected calls across all shard circuits.
-func (b *ShardBreaker) FastFails() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var n uint64
-	for _, br := range b.breakers {
-		n += br.FastFails()
-	}
-	return n
-}
-
-// ShardStates snapshots each shard circuit's state by owner.
-func (b *ShardBreaker) ShardStates() map[uint32]int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[uint32]int, len(b.breakers))
-	for owner, br := range b.breakers {
-		out[owner] = br.State()
-	}
-	return out
-}
-
-// MapVersion implements MapSource (pass-through).
-func (b *ShardBreaker) MapVersion() uint64 {
-	if b.src == nil {
-		return 0
-	}
-	return b.src.MapVersion()
-}
-
-// ShardMap implements MapSource (pass-through).
-func (b *ShardBreaker) ShardMap(ctx context.Context) (*ShardMap, error) {
-	if b.src == nil {
-		return nil, errors.New("nameservice: no shard map source")
-	}
-	return b.src.ShardMap(ctx)
-}
-
-// FenceNode implements NodeFencer when the wrapped service does.
-func (b *ShardBreaker) FenceNode(node uint32) {
-	if f, ok := b.inner.(NodeFencer); ok {
-		f.FenceNode(node)
-	}
-}
-
-// UnfenceNode implements NodeFencer when the wrapped service does.
-func (b *ShardBreaker) UnfenceNode(node uint32) {
-	if f, ok := b.inner.(NodeFencer); ok {
-		f.UnfenceNode(node)
-	}
-}
-
-// LookupSite implements Service (gated per shard).
-func (b *ShardBreaker) LookupSite(ctx context.Context, name string) (site, node uint32, err error) {
-	err = b.gate(ctx, name, func() error {
-		site, node, err = b.inner.LookupSite(ctx, name)
-		return err
-	})
-	return
-}
-
-// LookupName implements Service (gated per shard).
-func (b *ShardBreaker) LookupName(ctx context.Context, siteName, id string) (ref vm.NetRef, sig string, err error) {
-	err = b.gate(ctx, siteName, func() error {
-		ref, sig, err = b.inner.LookupName(ctx, siteName, id)
-		return err
-	})
-	return
-}
-
-// LookupClass implements Service (gated per shard).
-func (b *ShardBreaker) LookupClass(ctx context.Context, siteName, class string) (nc vm.NetClass, sig string, err error) {
-	err = b.gate(ctx, siteName, func() error {
-		nc, sig, err = b.inner.LookupClass(ctx, siteName, class)
-		return err
-	})
-	return
-}
-
-// Endpoints implements Service (gated on the fallback circuit:
-// enumeration has no shard key).
-func (b *ShardBreaker) Endpoints(ctx context.Context, kind string) (eps map[uint32]string, err error) {
-	err = b.gate(ctx, "", func() error {
-		eps, err = b.inner.Endpoints(ctx, kind)
-		return err
-	})
-	return
-}
-
-// RegisterSite implements Service (control traffic; not gated).
-func (b *ShardBreaker) RegisterSite(ctx context.Context, name string, site, node, epoch uint32) error {
-	return b.inner.RegisterSite(ctx, name, site, node, epoch)
-}
-
-// RegisterName implements Service (control traffic; not gated).
-func (b *ShardBreaker) RegisterName(ctx context.Context, siteName, id string, heap uint32, sig string) error {
-	return b.inner.RegisterName(ctx, siteName, id, heap, sig)
-}
-
-// RegisterClass implements Service (control traffic; not gated).
-func (b *ShardBreaker) RegisterClass(ctx context.Context, siteName, class string, sig string) error {
-	return b.inner.RegisterClass(ctx, siteName, class, sig)
-}
-
-// KeepAlive implements Service (control traffic; not gated).
-func (b *ShardBreaker) KeepAlive(ctx context.Context, siteName string, epoch uint32) error {
-	return b.inner.KeepAlive(ctx, siteName, epoch)
-}
-
-// RegisterEndpoint implements Service (control traffic; not gated).
-func (b *ShardBreaker) RegisterEndpoint(ctx context.Context, node uint32, kind, addr string) error {
-	return b.inner.RegisterEndpoint(ctx, node, kind, addr)
-}
-
-// WithAdmission wraps a Service (normally the server-side Central) so
-// that blocking lookups are rejected with admission.ErrOverloaded while
-// the controller sheds. Registrations and KeepAlive pass through: a
-// shedding node must still let sites keep their leases. The error
-// crosses the TCP protocol as a string and is rehydrated by
-// remoteError, so client-side errors.Is(err, admission.ErrOverloaded)
-// keeps working — and trips client breakers.
-func WithAdmission(svc Service, adm *admission.Controller) Service {
-	return &admitted{inner: svc, adm: adm}
-}
-
-type admitted struct {
-	inner Service
-	adm   *admission.Controller
-}
-
-var _ Service = (*admitted)(nil)
-
-func (a *admitted) LookupSite(ctx context.Context, name string) (uint32, uint32, error) {
-	if err := a.adm.Admit(); err != nil {
-		return 0, 0, err
-	}
-	return a.inner.LookupSite(ctx, name)
-}
-
-func (a *admitted) LookupName(ctx context.Context, siteName, id string) (vm.NetRef, string, error) {
-	if err := a.adm.Admit(); err != nil {
-		return vm.NetRef{}, "", err
-	}
-	return a.inner.LookupName(ctx, siteName, id)
-}
-
-func (a *admitted) LookupClass(ctx context.Context, siteName, class string) (vm.NetClass, string, error) {
-	if err := a.adm.Admit(); err != nil {
-		return vm.NetClass{}, "", err
-	}
-	return a.inner.LookupClass(ctx, siteName, class)
-}
-
-func (a *admitted) Endpoints(ctx context.Context, kind string) (map[uint32]string, error) {
-	if err := a.adm.Admit(); err != nil {
-		return nil, err
-	}
-	return a.inner.Endpoints(ctx, kind)
-}
-
-func (a *admitted) RegisterSite(ctx context.Context, name string, site, node, epoch uint32) error {
-	return a.inner.RegisterSite(ctx, name, site, node, epoch)
-}
-
-func (a *admitted) RegisterName(ctx context.Context, siteName, id string, heap uint32, sig string) error {
-	return a.inner.RegisterName(ctx, siteName, id, heap, sig)
-}
-
-func (a *admitted) RegisterClass(ctx context.Context, siteName, class string, sig string) error {
-	return a.inner.RegisterClass(ctx, siteName, class, sig)
-}
-
-func (a *admitted) KeepAlive(ctx context.Context, siteName string, epoch uint32) error {
-	return a.inner.KeepAlive(ctx, siteName, epoch)
-}
-
-func (a *admitted) RegisterEndpoint(ctx context.Context, node uint32, kind, addr string) error {
-	return a.inner.RegisterEndpoint(ctx, node, kind, addr)
-}
-
-// MapVersion implements MapSource (pass-through; 0 when the wrapped
-// service carries no map, which reads as "unsharded" on the wire).
-func (a *admitted) MapVersion() uint64 {
-	if src, ok := a.inner.(MapSource); ok {
-		return src.MapVersion()
-	}
-	return 0
-}
-
-// ShardMap implements MapSource (pass-through).
-func (a *admitted) ShardMap(ctx context.Context) (*ShardMap, error) {
-	if src, ok := a.inner.(MapSource); ok {
-		return src.ShardMap(ctx)
-	}
-	return nil, errors.New("nameservice: service has no shard map")
-}
-
-// Unwrap returns the wrapped service.
-func (a *admitted) Unwrap() Service { return a.inner }

@@ -3,11 +3,11 @@ package nameservice
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/vm"
 )
 
@@ -64,13 +64,15 @@ func (f *flakySvc) RegisterEndpoint(ctx context.Context, node uint32, kind, addr
 }
 
 func TestBreakerOpensOnOverload(t *testing.T) {
+	// An overloaded name server shows up as lookups missing their
+	// deadlines.
 	svc := &flakySvc{}
-	svc.setErr(admission.ErrOverloaded)
+	svc.setErr(context.DeadlineExceeded)
 	b := NewBreaker(svc, BreakerConfig{Failures: 3, Cooldown: time.Hour})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, _, err := b.LookupSite(ctx, "a"); !errors.Is(err, admission.ErrOverloaded) {
-			t.Fatalf("call %d: want ErrOverloaded, got %v", i, err)
+		if _, _, err := b.LookupSite(ctx, "a"); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: want DeadlineExceeded, got %v", i, err)
 		}
 	}
 	if got := b.State(); got != BreakerOpen {
@@ -103,7 +105,7 @@ func TestBreakerTerminalErrorsDoNotTrip(t *testing.T) {
 
 func TestBreakerHalfOpenRecovers(t *testing.T) {
 	svc := &flakySvc{}
-	svc.setErr(admission.ErrOverloaded)
+	svc.setErr(context.DeadlineExceeded)
 	b := NewBreaker(svc, BreakerConfig{Failures: 1, Cooldown: 50 * time.Millisecond})
 	clock := time.Now()
 	b.now = func() time.Time { return clock }
@@ -126,7 +128,7 @@ func TestBreakerHalfOpenRecovers(t *testing.T) {
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	svc := &flakySvc{}
-	svc.setErr(admission.ErrOverloaded)
+	svc.setErr(context.DeadlineExceeded)
 	b := NewBreaker(svc, BreakerConfig{Failures: 1, Cooldown: 50 * time.Millisecond})
 	clock := time.Now()
 	b.now = func() time.Time { return clock }
@@ -154,7 +156,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 
 func TestBreakerRegistrationsBypass(t *testing.T) {
 	svc := &flakySvc{}
-	svc.setErr(admission.ErrOverloaded)
+	svc.setErr(context.DeadlineExceeded)
 	b := NewBreaker(svc, BreakerConfig{Failures: 1, Cooldown: time.Hour})
 	ctx := context.Background()
 	b.LookupSite(ctx, "a") // trips
@@ -170,47 +172,46 @@ func TestBreakerRegistrationsBypass(t *testing.T) {
 	}
 }
 
-func TestWithAdmissionShedsLookups(t *testing.T) {
-	adm := admission.New(admission.Config{InboxShed: 0.5})
-	svc := WithAdmission(&flakySvc{}, adm)
-	ctx := context.Background()
-	if _, _, err := svc.LookupSite(ctx, "a"); err != nil {
-		t.Fatalf("lookup while ok: %v", err)
-	}
-	adm.SetOccupancy(0.9, 0) // past the shed watermark
-	if _, _, err := svc.LookupSite(ctx, "a"); !errors.Is(err, admission.ErrOverloaded) {
-		t.Fatalf("lookup while shedding: want ErrOverloaded, got %v", err)
-	}
-	if err := svc.KeepAlive(ctx, "a", 1); err != nil {
-		t.Fatalf("KeepAlive while shedding: %v", err)
-	}
-	adm.SetOccupancy(0, 0)
-	if _, _, err := svc.LookupSite(ctx, "a"); err != nil {
-		t.Fatalf("lookup after recovery: %v", err)
-	}
+// shardedFlaky is a MapSource whose lookups time out for the keys its
+// map assigns to one sick owner.
+type shardedFlaky struct {
+	flakySvc
+	m    *ShardMap
+	sick uint32
 }
 
-// TestOverloadedCrossesWire proves admission.ErrOverloaded survives the
-// TCP protocol: a server wrapped in WithAdmission sheds a lookup, and
-// the client rehydrates the typed error so errors.Is works — which is
-// what lets a client-side Breaker trip on server-side overload.
-func TestOverloadedCrossesWire(t *testing.T) {
-	adm := admission.New(admission.Config{})
-	adm.SetOccupancy(1, 1) // force shed
-	srv, err := NewServer(WithAdmission(NewCentral(), adm), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+func (f *shardedFlaky) MapVersion() uint64                          { return f.m.Version }
+func (f *shardedFlaky) ShardMap(context.Context) (*ShardMap, error) { return f.m, nil }
+func (f *shardedFlaky) LookupSite(ctx context.Context, name string) (uint32, uint32, error) {
+	if o, _ := f.m.Owner(name); o == f.sick {
+		return 0, 0, context.DeadlineExceeded
 	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	return 1, 2, nil
+}
+
+func TestBreakerCircuitPerShard(t *testing.T) {
+	// One sick shard opens only its own circuit: keys the map routes to
+	// healthy owners keep resolving.
+	svc := &shardedFlaky{m: NewShardMap(1, []uint32{1, 2, 3}, 16), sick: 2}
+	b := NewBreaker(svc, BreakerConfig{Failures: 1, Cooldown: time.Hour})
+	var sickKey, healthyKey string
+	for i := 0; sickKey == "" || healthyKey == ""; i++ {
+		k := fmt.Sprintf("site-%d", i)
+		if o, _ := svc.m.Owner(k); o == svc.sick {
+			sickKey = k
+		} else {
+			healthyKey = k
+		}
 	}
-	defer cli.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, _, err = cli.LookupSite(ctx, "nobody")
-	if !errors.Is(err, admission.ErrOverloaded) {
-		t.Fatalf("want rehydrated ErrOverloaded, got %v", err)
+	ctx := context.Background()
+	b.LookupSite(ctx, sickKey) // trips shard 2's circuit
+	if _, _, err := b.LookupSite(ctx, sickKey); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("sick shard: want ErrCircuitOpen, got %v", err)
+	}
+	if _, _, err := b.LookupSite(ctx, healthyKey); err != nil {
+		t.Fatalf("healthy shard blinded by a sick one: %v", err)
+	}
+	if b.State() != BreakerOpen || b.Trips() != 1 {
+		t.Fatalf("state=%d trips=%d, want the worst circuit open after 1 trip", b.State(), b.Trips())
 	}
 }

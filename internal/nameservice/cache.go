@@ -102,9 +102,9 @@ func (s CacheStats) HitRatio() float64 {
 }
 
 // Cache wraps a Service with a client-side lease cache. When the
-// wrapped service is a MapSource (the sharded service or a TCP client
-// against one), shard-map version bumps selectively flush moved key
-// ranges.
+// wrapped service is a MapSource (the authority, a TCP client, or a
+// Breaker over either), shard-map version bumps selectively flush
+// moved key ranges.
 type Cache struct {
 	inner Service
 	src   MapSource // nil when inner has no shard map
@@ -175,29 +175,6 @@ func (c *Cache) ShardMap(ctx context.Context) (*ShardMap, error) {
 		return nil, errors.New("nameservice: no shard map source")
 	}
 	return c.src.ShardMap(ctx)
-}
-
-// FenceNode implements NodeFencer when the wrapped service does.
-func (c *Cache) FenceNode(node uint32) {
-	if f, ok := c.inner.(NodeFencer); ok {
-		f.FenceNode(node)
-	}
-	// A conviction invalidates everything: entries resolved through
-	// the fenced node are unidentifiable without per-entry node
-	// bookkeeping for sites' names, and fences are rare.
-	c.mu.Lock()
-	c.dropAllLocked()
-	c.mu.Unlock()
-}
-
-// UnfenceNode implements NodeFencer when the wrapped service does.
-func (c *Cache) UnfenceNode(node uint32) {
-	if f, ok := c.inner.(NodeFencer); ok {
-		f.UnfenceNode(node)
-	}
-	c.mu.Lock()
-	c.dropAllLocked()
-	c.mu.Unlock()
 }
 
 func (c *Cache) dropAllLocked() {

@@ -51,7 +51,7 @@ func (c *countingSvc) ShardMap(ctx context.Context) (*ShardMap, error) {
 
 func TestCacheServesHitsWithoutService(t *testing.T) {
 	clk := &fakeShardClock{now: time.Unix(1000, 0)}
-	inner := &countingSvc{Service: NewCentral()}
+	inner := &countingSvc{Service: NewSharded(ShardedConfig{})}
 	cache := NewCache(inner, CacheConfig{TTL: time.Minute, Clock: clk})
 	ctx := context.Background()
 	if err := cache.RegisterSite(ctx, "s", 1, 2, 1); err != nil {

@@ -1,7 +1,7 @@
 package nameservice
 
 // Introspection is a flattened snapshot of whatever a node's NS stack
-// exposes — cache, breaker(s), shard map — for /metrics, /statusz and
+// exposes — cache, breaker, shard map — for /metrics, /statusz and
 // tycotop. Absent layers leave their Has* flag false.
 type Introspection struct {
 	HasMap      bool
@@ -18,18 +18,16 @@ type Introspection struct {
 	BreakerState     int
 	BreakerTrips     uint64
 	BreakerFastFails uint64
-	BreakerShards    map[uint32]int // per-shard states (ShardBreaker only)
 }
 
-// unwrapper is implemented by Service decorators (Cache, Breaker,
-// ShardBreaker, admitted).
+// unwrapper is implemented by the Service decorators (Cache, Breaker).
 type unwrapper interface {
 	Unwrap() Service
 }
 
 // Inspect walks a Service decorator chain and collects every layer's
-// introspection snapshot. It accepts any Service — an unadorned
-// Central yields the zero Introspection.
+// introspection snapshot. It accepts any Service; layers it does not
+// know contribute nothing.
 func Inspect(svc Service) Introspection {
 	var out Introspection
 	for svc != nil {
@@ -42,12 +40,6 @@ func Inspect(svc Service) Introspection {
 			out.BreakerState = t.State()
 			out.BreakerTrips = t.Trips()
 			out.BreakerFastFails = t.FastFails()
-		case *ShardBreaker:
-			out.HasBreaker = true
-			out.BreakerState = t.State()
-			out.BreakerTrips = t.Trips()
-			out.BreakerFastFails = t.FastFails()
-			out.BreakerShards = t.ShardStates()
 		case *Sharded:
 			st := t.Stats()
 			out.HasMap = true

@@ -11,8 +11,28 @@ import (
 	"repro/internal/vm"
 )
 
-func TestCentralBasics(t *testing.T) {
-	ns := nameservice.NewCentral()
+// rings are the authority shapes the behavioural tests run over: the
+// default one-member ring (the paper's centralized service) and a
+// three-member one.
+var rings = []struct {
+	name string
+	cfg  nameservice.ShardedConfig
+}{
+	{"one-member", nameservice.ShardedConfig{}},
+	{"three-members", nameservice.ShardedConfig{Members: []uint32{1, 2, 3}}},
+}
+
+// eachRing runs f as one subtest per ring shape.
+func eachRing(t *testing.T, f func(t *testing.T, cfg nameservice.ShardedConfig)) {
+	for _, r := range rings {
+		t.Run(r.name, func(t *testing.T) { f(t, r.cfg) })
+	}
+}
+
+func TestAuthorityBasics(t *testing.T) { eachRing(t, testAuthorityBasics) }
+
+func testAuthorityBasics(t *testing.T, cfg nameservice.ShardedConfig) {
+	ns := nameservice.NewSharded(cfg)
 	if err := ns.RegisterSite(context.Background(), "server", 7, 2, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +59,10 @@ func TestCentralBasics(t *testing.T) {
 	}
 }
 
-func TestCentralBlockingLookup(t *testing.T) {
-	ns := nameservice.NewCentral()
+func TestAuthorityBlockingLookup(t *testing.T) { eachRing(t, testAuthorityBlockingLookup) }
+
+func testAuthorityBlockingLookup(t *testing.T, cfg nameservice.ShardedConfig) {
+	ns := nameservice.NewSharded(cfg)
 	done := make(chan vm.NetRef, 1)
 	go func() {
 		ref, _, err := ns.LookupName(context.Background(), "late", "x")
@@ -70,17 +92,21 @@ func TestCentralBlockingLookup(t *testing.T) {
 	}
 }
 
-func TestCentralLookupContextCancel(t *testing.T) {
-	ns := nameservice.NewCentral()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, _, err := ns.LookupName(ctx, "ghost", "x"); err == nil {
-		t.Fatal("lookup should time out")
-	}
+func TestAuthorityLookupContextCancel(t *testing.T) {
+	eachRing(t, func(t *testing.T, cfg nameservice.ShardedConfig) {
+		ns := nameservice.NewSharded(cfg)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if _, _, err := ns.LookupName(ctx, "ghost", "x"); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("lookup = %v, want a wrapped DeadlineExceeded", err)
+		}
+	})
 }
 
-func TestCentralConflicts(t *testing.T) {
-	ns := nameservice.NewCentral()
+func TestAuthorityConflicts(t *testing.T) { eachRing(t, testAuthorityConflicts) }
+
+func testAuthorityConflicts(t *testing.T, cfg nameservice.ShardedConfig) {
+	ns := nameservice.NewSharded(cfg)
 	if err := ns.RegisterSite(context.Background(), "s", 1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +124,14 @@ func TestCentralConflicts(t *testing.T) {
 	}
 }
 
-func TestCentralConcurrentExportImport(t *testing.T) {
+func TestAuthorityConcurrentExportImport(t *testing.T) {
+	eachRing(t, testAuthorityConcurrentExportImport)
+}
+
+func testAuthorityConcurrentExportImport(t *testing.T, cfg nameservice.ShardedConfig) {
 	// Many concurrent importers and exporters: every importer must
 	// see exactly the value its exporter registered.
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(cfg)
 	if err := ns.RegisterSite(context.Background(), "hub", 1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +174,7 @@ func (e errMismatchT) Error() string {
 }
 
 func TestTCPProtocol(t *testing.T) {
-	central := nameservice.NewCentral()
-	srv, err := nameservice.NewServer(central, "127.0.0.1:0")
+	srv, err := nameservice.NewServer(nameservice.NewSharded(nameservice.ShardedConfig{}), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +209,7 @@ func TestTCPProtocol(t *testing.T) {
 }
 
 func TestTCPBlockingLookupAcrossClients(t *testing.T) {
-	central := nameservice.NewCentral()
-	srv, err := nameservice.NewServer(central, "127.0.0.1:0")
+	srv, err := nameservice.NewServer(nameservice.NewSharded(nameservice.ShardedConfig{}), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +250,7 @@ func TestTCPBlockingLookupAcrossClients(t *testing.T) {
 }
 
 func TestTCPLookupErrorPropagates(t *testing.T) {
-	central := nameservice.NewCentral()
-	srv, err := nameservice.NewServer(central, "127.0.0.1:0")
+	srv, err := nameservice.NewServer(nameservice.NewSharded(nameservice.ShardedConfig{}), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,75 +266,6 @@ func TestTCPLookupErrorPropagates(t *testing.T) {
 		t.Fatal("expected timeout error")
 	}
 }
-
-func TestReplicatedFailover(t *testing.T) {
-	// Three replicas; one permanently fails. Registrations reach a
-	// quorum and lookups succeed via the survivors.
-	r1 := nameservice.NewCentral()
-	r2 := nameservice.NewCentral()
-	bad := &failingService{}
-	rep, err := nameservice.NewReplicated(r1, bad, r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.RegisterSite(context.Background(), "s", 1, 1, 1); err != nil {
-		t.Fatalf("quorum write failed: %v", err)
-	}
-	if err := rep.RegisterName(context.Background(), "s", "x", 3, "sig"); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	ref, _, err := rep.LookupName(ctx, "s", "x")
-	if err != nil || ref.Heap != 3 {
-		t.Fatalf("lookup: %v %v", ref, err)
-	}
-}
-
-func TestReplicatedQuorumFailure(t *testing.T) {
-	bad1, bad2 := &failingService{}, &failingService{}
-	ok := nameservice.NewCentral()
-	rep, err := nameservice.NewReplicated(bad1, ok, bad2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.RegisterSite(context.Background(), "s", 1, 1, 1); err == nil {
-		t.Fatal("1/3 acks must not be a quorum")
-	}
-}
-
-// failingService errors on everything (a crashed replica).
-type failingService struct{}
-
-func (f *failingService) RegisterSite(context.Context, string, uint32, uint32, uint32) error {
-	return errDown
-}
-func (f *failingService) LookupSite(ctx context.Context, _ string) (uint32, uint32, error) {
-	return 0, 0, errDown
-}
-func (f *failingService) RegisterName(context.Context, string, string, uint32, string) error {
-	return errDown
-}
-func (f *failingService) LookupName(ctx context.Context, _, _ string) (vm.NetRef, string, error) {
-	return vm.NetRef{}, "", errDown
-}
-func (f *failingService) RegisterClass(context.Context, string, string, string) error { return errDown }
-func (f *failingService) KeepAlive(context.Context, string, uint32) error             { return errDown }
-func (f *failingService) LookupClass(ctx context.Context, _, _ string) (vm.NetClass, string, error) {
-	return vm.NetClass{}, "", errDown
-}
-func (f *failingService) RegisterEndpoint(context.Context, uint32, string, string) error {
-	return errDown
-}
-func (f *failingService) Endpoints(context.Context, string) (map[uint32]string, error) {
-	return nil, errDown
-}
-
-type downError struct{}
-
-func (downError) Error() string { return "replica down" }
-
-var errDown = downError{}
 
 // leaseClock is a manually advanced nameservice.Clock for lease tests
 // (the injected-clock pattern from internal/membership): expiry is
@@ -330,10 +288,12 @@ func (c *leaseClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func TestLeaseExpiryFailsFast(t *testing.T) {
+func TestLeaseExpiryFailsFast(t *testing.T) { eachRing(t, testLeaseExpiryFailsFast) }
+
+func testLeaseExpiryFailsFast(t *testing.T, cfg nameservice.ShardedConfig) {
 	clk := &leaseClock{now: time.Unix(1000, 0)}
-	ns := nameservice.NewCentralWithLeases(time.Minute)
-	ns.SetClock(clk)
+	cfg.LeaseTTL, cfg.Clock = time.Minute, clk
+	ns := nameservice.NewSharded(cfg)
 	ctx := context.Background()
 	if err := ns.RegisterSite(ctx, "server", 7, 2, 1); err != nil {
 		t.Fatal(err)
@@ -355,10 +315,12 @@ func TestLeaseExpiryFailsFast(t *testing.T) {
 	}
 }
 
-func TestLeaseKeepAliveRefreshes(t *testing.T) {
+func TestLeaseKeepAliveRefreshes(t *testing.T) { eachRing(t, testLeaseKeepAliveRefreshes) }
+
+func testLeaseKeepAliveRefreshes(t *testing.T, cfg nameservice.ShardedConfig) {
 	clk := &leaseClock{now: time.Unix(1000, 0)}
-	ns := nameservice.NewCentralWithLeases(time.Minute)
-	ns.SetClock(clk)
+	cfg.LeaseTTL, cfg.Clock = time.Minute, clk
+	ns := nameservice.NewSharded(cfg)
 	ctx := context.Background()
 	if err := ns.RegisterSite(ctx, "server", 7, 2, 1); err != nil {
 		t.Fatal(err)
@@ -384,9 +346,13 @@ func TestLeaseKeepAliveRefreshes(t *testing.T) {
 }
 
 func TestLeaseSupersededByRecoveredEpoch(t *testing.T) {
+	eachRing(t, testLeaseSupersededByRecoveredEpoch)
+}
+
+func testLeaseSupersededByRecoveredEpoch(t *testing.T, cfg nameservice.ShardedConfig) {
 	clk := &leaseClock{now: time.Unix(1000, 0)}
-	ns := nameservice.NewCentralWithLeases(time.Minute)
-	ns.SetClock(clk)
+	cfg.LeaseTTL, cfg.Clock = time.Minute, clk
+	ns := nameservice.NewSharded(cfg)
 	ctx := context.Background()
 	if err := ns.RegisterSite(ctx, "server", 7, 2, 1); err != nil {
 		t.Fatal(err)

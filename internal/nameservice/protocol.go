@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/backoff"
 	"repro/internal/vm"
 	"repro/internal/wire"
@@ -70,10 +69,9 @@ func readFrame(conn net.Conn) ([]byte, error) {
 	return buf, nil
 }
 
-// Server exposes a Service (normally a Central or Sharded) over TCP.
+// Server exposes the authority over TCP.
 type Server struct {
-	svc Service
-	src MapSource // non-nil when svc carries a shard map
+	svc *Sharded
 	ln  net.Listener
 	wg  sync.WaitGroup
 
@@ -82,15 +80,12 @@ type Server struct {
 }
 
 // NewServer starts serving svc on addr.
-func NewServer(svc Service, addr string) (*Server, error) {
+func NewServer(svc *Sharded, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{svc: svc, ln: ln}
-	if src, ok := svc.(MapSource); ok {
-		s.src = src
-	}
 	s.wg.Add(1)
 	go s.accept()
 	return s, nil
@@ -152,14 +147,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			var w wire.Writer
 			w.Byte(byte(opReply))
 			w.U(id)
-			// Every reply carries the server's shard-map version (0 =
-			// unsharded): it is how client lease caches learn a
-			// transition happened without polling.
-			if s.src != nil {
-				w.U(s.src.MapVersion())
-			} else {
-				w.U(0)
-			}
+			// Every reply carries the server's shard-map version: it is
+			// how client lease caches learn a transition happened
+			// without polling.
+			w.U(s.svc.MapVersion())
 			if rpcErr != nil {
 				w.S(rpcErr.Error())
 			} else {
@@ -233,11 +224,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			reply(nil, s.svc.RegisterClass(ctx, siteName, class, sig))
 		case opShardMap:
-			if s.src == nil {
-				reply(nil, errors.New("nameservice: service has no shard map"))
-				break
-			}
-			m, err3 := s.src.ShardMap(ctx)
+			m, err3 := s.svc.ShardMap(ctx)
 			reply(func(w *wire.Writer) {
 				w.B(EncodeShardMap(m))
 			}, err3)
@@ -312,9 +299,9 @@ type Client struct {
 	closed    bool
 	done      chan struct{} // closed by Close; unblocks the redial loop's sleep
 
-	// Shard-map tracking: every reply carries the server's map version
-	// (0 = unsharded); the full map is fetched lazily and cached until
-	// the version moves past it.
+	// Shard-map tracking: every reply carries the server's map version;
+	// the full map is fetched lazily and cached until the version moves
+	// past it.
 	mapVer    atomic.Uint64
 	mapMu     sync.Mutex
 	cachedMap *ShardMap
@@ -526,13 +513,12 @@ func (c *Client) noteMapVersion(ver uint64) {
 }
 
 // MapVersion implements MapSource: the latest shard-map version
-// observed on any reply (0 until the first reply, or forever against
-// an unsharded server).
+// observed on any reply (0 until the first reply).
 func (c *Client) MapVersion() uint64 { return c.mapVer.Load() }
 
 // ShardMap implements MapSource: fetch the server's current map,
 // cached until the observed version moves past it — so per-lookup map
-// reads (the shard breaker's routing) stay local.
+// reads (the breaker's routing) stay local.
 func (c *Client) ShardMap(ctx context.Context) (*ShardMap, error) {
 	c.mapMu.Lock()
 	if m := c.cachedMap; m != nil && m.Version >= c.mapVer.Load() {
@@ -571,9 +557,6 @@ func (c *Client) ShardMap(ctx context.Context) (*ShardMap, error) {
 func remoteError(msg string) error {
 	if strings.HasPrefix(msg, ErrNameExpired.Error()) {
 		return fmt.Errorf("%w%s", ErrNameExpired, strings.TrimPrefix(msg, ErrNameExpired.Error()))
-	}
-	if strings.HasPrefix(msg, admission.ErrOverloaded.Error()) {
-		return fmt.Errorf("%w%s", admission.ErrOverloaded, strings.TrimPrefix(msg, admission.ErrOverloaded.Error()))
 	}
 	return errors.New(msg)
 }

@@ -13,17 +13,15 @@ import (
 	"repro/internal/vm"
 )
 
-// Sharded partitions the namespace across per-member lease tables by
-// consistent hashing (DESIGN.md §16). Each live member of the ring
-// owns one *Central — the existing TTL/epoch machinery, unchanged —
-// and every call routes by the site name's position on the hash
-// circle. Membership feeds the ring: when gossip convicts a node
-// (FenceNode), the member is evicted, the map version bumps, and its
-// key ranges migrate synchronously to the surviving owners under the
-// transition lock, so a rebalance can never lose or duplicate a
-// registration. Lookups additionally peek the key's previous owner on
-// a current-owner miss (one-hop forwarding): during a map transition
-// an entry is reachable wherever it last lived.
+// Sharded is the name-service authority (DESIGN.md §16): the
+// namespace partitioned across N ≥ 1 ring members by consistent
+// hashing, one lease table per live member, every call routed by the
+// site name's position on the hash circle. One member (the default) is
+// the paper's centralized service. Membership feeds the ring: when
+// gossip convicts a node (FenceNode), the member is evicted, the map
+// version bumps, and its key ranges migrate synchronously to the
+// surviving owners under the transition lock, so a rebalance can never
+// lose or duplicate a registration.
 //
 // The whole structure is location-transparent to callers — it is a
 // plain Service — which is what lets the shard map change underneath
@@ -35,10 +33,10 @@ import (
 var ErrNoShards = errors.New("nameservice: no live shard members")
 
 // MapSource is implemented by services that carry a shard map: the
-// sharded service itself, and the TCP client, which learns the map
-// version from every reply and fetches the full map on demand. The
-// client-side cache uses it to flush exactly the key ranges a new map
-// version moved.
+// authority itself, and the TCP client, which learns the map version
+// from every reply and fetches the full map on demand. The client-side
+// cache uses it to flush exactly the key ranges a new map version
+// moved, and the breaker to pick a key's circuit.
 type MapSource interface {
 	// MapVersion returns the latest shard-map version observed.
 	MapVersion() uint64
@@ -46,16 +44,16 @@ type MapSource interface {
 	ShardMap(ctx context.Context) (*ShardMap, error)
 }
 
-// ShardedConfig configures a sharded name service. The zero value of
-// any field selects its default.
+// ShardedConfig configures the authority. The zero value of any field
+// selects its default.
 type ShardedConfig struct {
 	// Members are the shard-owning node ids (default: a single member,
-	// id 1 — a degenerate ring equivalent to Central).
+	// id 1 — the centralized service).
 	Members []uint32
 	// Vnodes is the virtual-node count per member (default DefaultVnodes).
 	Vnodes int
-	// LeaseTTL enables lease expiry on every shard (0 = no expiry,
-	// like NewCentral).
+	// LeaseTTL enables lease expiry on every shard (0 = registrations
+	// live forever, as in the paper's first implementation).
 	LeaseTTL time.Duration
 	// Clock overrides the lease clock (tests).
 	Clock Clock
@@ -69,7 +67,7 @@ type ShardKeyCounts struct {
 // Total returns the shard's key count across all tables.
 func (c ShardKeyCounts) Total() int { return c.Sites + c.Names + c.Classes }
 
-// ShardedStats is an introspection snapshot of the sharded service.
+// ShardedStats is an introspection snapshot of the authority.
 type ShardedStats struct {
 	MapVersion  uint64
 	Members     []uint32 // live ring members
@@ -79,17 +77,17 @@ type ShardedStats struct {
 	ShardKeys   map[uint32]ShardKeyCounts
 }
 
-// Sharded is a consistent-hash-sharded Service.
+// Sharded is the consistent-hash-sharded authority.
 type Sharded struct {
 	vnodes   int
 	leaseTTL time.Duration
-	clock    Clock
+	now      func() time.Time
 
 	mu      sync.RWMutex
 	cur     *ShardMap
 	prev    *ShardMap     // retained one transition for forwarding
 	gen     chan struct{} // closed and replaced on every map change
-	shards  map[uint32]*Central
+	shards  map[uint32]*table
 	members []uint32 // configured member set; ring = members − fenced
 	fenced  map[uint32]bool
 
@@ -101,13 +99,17 @@ type Sharded struct {
 	migrated    atomic.Uint64
 }
 
+type endpointKey struct {
+	kind string
+	node uint32
+}
+
 var (
-	_ Service    = (*Sharded)(nil)
-	_ NodeFencer = (*Sharded)(nil)
-	_ MapSource  = (*Sharded)(nil)
+	_ Service   = (*Sharded)(nil)
+	_ MapSource = (*Sharded)(nil)
 )
 
-// NewSharded builds a sharded name service.
+// NewSharded builds the authority.
 func NewSharded(cfg ShardedConfig) *Sharded {
 	if len(cfg.Members) == 0 {
 		cfg.Members = []uint32{1}
@@ -121,9 +123,9 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	s := &Sharded{
 		vnodes:    cfg.Vnodes,
 		leaseTTL:  cfg.LeaseTTL,
-		clock:     cfg.Clock,
+		now:       cfg.Clock.Now,
 		gen:       make(chan struct{}),
-		shards:    map[uint32]*Central{},
+		shards:    map[uint32]*table{},
 		fenced:    map[uint32]bool{},
 		endpoints: map[endpointKey]string{},
 	}
@@ -135,27 +137,14 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	return s
 }
 
-func (s *Sharded) newShard() *Central {
-	c := NewCentral()
-	c.leaseTTL = s.leaseTTL
-	c.now = s.clock.Now
+func (s *Sharded) newShard() *table {
+	t := newTable(s.leaseTTL, s.now)
 	// A shard created mid-life (member join) inherits the node fences
 	// already in force.
 	for node := range s.fenced {
-		c.FenceNode(node)
+		t.fenced[node] = true
 	}
-	return c
-}
-
-// SetClock overrides the lease clock on the router and every shard
-// (tests). Call before concurrent use.
-func (s *Sharded) SetClock(clk Clock) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = clk
-	for _, sh := range s.shards {
-		sh.SetClock(clk)
-	}
+	return t
 }
 
 // MapVersion implements MapSource.
@@ -183,7 +172,7 @@ func (s *Sharded) Stats() ShardedStats {
 		Migrated:    s.migrated.Load(),
 		ShardKeys:   make(map[uint32]ShardKeyCounts, len(s.shards)),
 	}
-	shards := make(map[uint32]*Central, len(s.shards))
+	shards := make(map[uint32]*table, len(s.shards))
 	for m, sh := range s.shards {
 		shards[m] = sh
 	}
@@ -218,13 +207,14 @@ func (s *Sharded) SetMembers(members []uint32) error {
 	return nil
 }
 
-// FenceNode implements NodeFencer. Beyond fencing the node's
-// registrations in every shard (as Central does), a fenced ring
-// member is evicted from the shard map: the membership layer's
-// conviction is what feeds the ring (ISSUE: "convicted nodes are
-// evicted from the ring"). The last live member is never evicted —
-// an empty ring serves nobody, and the per-shard fences already make
-// the dead node's entries read expired.
+// FenceNode is the membership layer's Dead or Left verdict on node:
+// every site entry the node registered reads expired in every shard —
+// importers fail fast with ErrNameExpired instead of waiting out the
+// lease TTL — until a higher-epoch re-registration from an adopting
+// node supersedes it, or UnfenceNode lifts the fence. A fenced ring
+// member is also evicted from the shard map. The last live member is
+// never evicted — an empty ring serves nobody, and the per-shard
+// fences already make the dead node's entries read expired.
 func (s *Sharded) FenceNode(node uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -233,12 +223,12 @@ func (s *Sharded) FenceNode(node uint32) {
 	}
 	s.fenced[node] = true
 	for _, sh := range s.shards {
-		sh.FenceNode(node)
+		sh.fence(node)
 	}
 	s.retargetLocked()
 }
 
-// UnfenceNode implements NodeFencer (refuted suspicion or rejoin). A
+// UnfenceNode lifts a fence (a refuted suspicion or a rejoin). A
 // configured member rejoins the ring and reclaims its key ranges.
 func (s *Sharded) UnfenceNode(node uint32) {
 	s.mu.Lock()
@@ -248,7 +238,7 @@ func (s *Sharded) UnfenceNode(node uint32) {
 	}
 	delete(s.fenced, node)
 	for _, sh := range s.shards {
-		sh.UnfenceNode(node)
+		sh.unfence(node)
 	}
 	s.retargetLocked()
 }
@@ -335,11 +325,7 @@ func (s *Sharded) rebalanceLocked(next *ShardMap) {
 func batchFor(m map[uint32]shardEntries, owner uint32) shardEntries {
 	b, ok := m[owner]
 	if !ok {
-		b = shardEntries{
-			sites:   map[string]siteEntry{},
-			names:   map[idKey]nameEntry{},
-			classes: map[idKey]classEntry{},
-		}
+		b = newShardEntries()
 		m[owner] = b
 	}
 	return b
@@ -349,7 +335,7 @@ func batchFor(m map[uint32]shardEntries, owner uint32) shardEntries {
 // read lock across the shard write is what makes rebalances atomic:
 // a transition (write lock) cannot interleave with a half-applied
 // registration.
-func (s *Sharded) withOwner(key string, f func(*Central) error) error {
+func (s *Sharded) withOwner(key string, f func(*table) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	owner, ok := s.cur.Owner(key)
@@ -360,30 +346,30 @@ func (s *Sharded) withOwner(key string, f func(*Central) error) error {
 }
 
 // RegisterSite implements Service (routed by site name).
-func (s *Sharded) RegisterSite(ctx context.Context, name string, site, node, epoch uint32) error {
-	return s.withOwner(name, func(c *Central) error {
-		return c.RegisterSite(ctx, name, site, node, epoch)
+func (s *Sharded) RegisterSite(_ context.Context, name string, site, node, epoch uint32) error {
+	return s.withOwner(name, func(t *table) error {
+		return t.registerSite(name, site, node, epoch)
 	})
 }
 
 // RegisterName implements Service (routed by site name).
-func (s *Sharded) RegisterName(ctx context.Context, siteName, id string, heap uint32, sig string) error {
-	return s.withOwner(siteName, func(c *Central) error {
-		return c.RegisterName(ctx, siteName, id, heap, sig)
+func (s *Sharded) RegisterName(_ context.Context, siteName, id string, heap uint32, sig string) error {
+	return s.withOwner(siteName, func(t *table) error {
+		return t.registerName(siteName, id, heap, sig)
 	})
 }
 
 // RegisterClass implements Service (routed by site name).
-func (s *Sharded) RegisterClass(ctx context.Context, siteName, class string, sig string) error {
-	return s.withOwner(siteName, func(c *Central) error {
-		return c.RegisterClass(ctx, siteName, class, sig)
+func (s *Sharded) RegisterClass(_ context.Context, siteName, class string, sig string) error {
+	return s.withOwner(siteName, func(t *table) error {
+		return t.registerClass(siteName, class, sig)
 	})
 }
 
 // KeepAlive implements Service (routed by site name).
-func (s *Sharded) KeepAlive(ctx context.Context, siteName string, epoch uint32) error {
-	return s.withOwner(siteName, func(c *Central) error {
-		return c.KeepAlive(ctx, siteName, epoch)
+func (s *Sharded) KeepAlive(_ context.Context, siteName string, epoch uint32) error {
+	return s.withOwner(siteName, func(t *table) error {
+		return t.keepAlive(siteName, epoch)
 	})
 }
 
@@ -412,103 +398,82 @@ func (s *Sharded) Endpoints(_ context.Context, kind string) (map[uint32]string, 
 	return out, nil
 }
 
-// route resolves a key to its current shard, the previous owner's
-// shard when it differs (forwarding target), and the generation
-// channel that fires on the next map change.
-func (s *Sharded) route(key string) (shard, prevShard *Central, gen chan struct{}, err error) {
+// route resolves a key to its owner's table, the previous owner's
+// table when the last transition moved the key (the forwarding
+// target), and the channel that closes on the next map change — all
+// under one read lock, so a transition after route always wakes a
+// caller that goes on to wait.
+func (s *Sharded) route(key string) (owner, prev *table, mapGen <-chan struct{}, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	owner, ok := s.cur.Owner(key)
+	o, ok := s.cur.Owner(key)
 	if !ok {
 		return nil, nil, nil, ErrNoShards
 	}
-	shard = s.shards[owner]
 	if s.prev != nil {
-		if po, pok := s.prev.Owner(key); pok && po != owner {
-			prevShard = s.shards[po] // may be nil if the member is gone
+		if po, pok := s.prev.Owner(key); pok && po != o {
+			prev = s.shards[po] // may be nil if the member is gone
 		}
 	}
-	return shard, prevShard, s.gen, nil
+	return s.shards[o], prev, s.gen, nil
 }
 
-type lookupResult[T any] struct {
-	v   T
-	err error
-}
-
-// shardedLookup runs one blocking lookup against the key's owner with
-// the transition-safe protocol: peek the owner, peek the previous
-// owner on miss (one-hop forwarding), then block on the owner in a
-// goroutine that is cancelled and re-routed when a map transition
-// moves the key mid-wait — a blocked import must not hang on a shard
-// that no longer owns its name.
-func shardedLookup[T any](
-	ctx context.Context, s *Sharded, key string,
-	peek func(*Central) (T, peekState),
-	block func(context.Context, *Central) (T, error),
-	expired func() error,
-) (T, error) {
-	var zero T
+// lookup is the blocking lookup behind LookupSite, LookupName and
+// LookupClass. It peeks the key's owner, then its previous owner
+// (one-hop forwarding: during a transition an entry is reachable
+// wherever it last lived). On a miss the caller itself waits — no
+// helper goroutine — until the owner's table changes (its generation
+// channel was read under the same lock as the peek, so no
+// registration slips between check and wait), the shard map changes,
+// or ctx ends; then it re-routes and peeks again. It fails with bare
+// ErrNameExpired or ctx's error; lookupErr words them.
+func lookup[T any](ctx context.Context, s *Sharded, key string, peek func(*table) (T, peekState, <-chan struct{})) (T, error) {
 	for {
-		shard, prevShard, gen, err := s.route(key)
+		owner, prev, mapGen, err := s.route(key)
 		if err != nil {
+			var zero T
 			return zero, err
 		}
-		if v, st := peek(shard); st == peekHit {
-			return v, nil
-		} else if st == peekExpired {
-			return zero, expired()
-		}
-		if prevShard != nil {
-			if v, st := peek(prevShard); st == peekHit {
+		v, st, gen := peek(owner)
+		if st == peekMiss && prev != nil {
+			if v, st, _ = peek(prev); st == peekHit {
 				s.forwards.Add(1)
-				return v, nil
-			} else if st == peekExpired {
-				return zero, expired()
 			}
 		}
-		bctx, cancel := context.WithCancel(ctx)
-		ch := make(chan lookupResult[T], 1)
-		go func() {
-			v, err := block(bctx, shard)
-			ch <- lookupResult[T]{v: v, err: err}
-		}()
+		switch st {
+		case peekHit:
+			return v, nil
+		case peekExpired:
+			return v, ErrNameExpired
+		}
 		select {
-		case r := <-ch:
-			cancel()
-			return r.v, r.err
 		case <-gen:
-			// The map changed under the wait. Cancel, reap, and —
-			// unless the lookup beat the cancellation with a real
-			// verdict — re-route under the new map.
-			cancel()
-			r := <-ch
-			if r.err == nil || !errors.Is(r.err, context.Canceled) || ctx.Err() != nil {
-				return r.v, r.err
-			}
+		case <-mapGen:
 		case <-ctx.Done():
-			cancel()
-			r := <-ch
-			return r.v, r.err
+			return v, ctx.Err()
 		}
 	}
+}
+
+// lookupErr words a failed lookup of subject.
+func lookupErr(err error, subject string) error {
+	if err == ErrNameExpired {
+		return fmt.Errorf("%w: %s", ErrNameExpired, subject)
+	}
+	return fmt.Errorf("nameservice: lookup %s: %w", subject, err)
 }
 
 // LookupSite implements Service.
 func (s *Sharded) LookupSite(ctx context.Context, name string) (uint32, uint32, error) {
 	type pair struct{ site, node uint32 }
-	p, err := shardedLookup(ctx, s, name,
-		func(c *Central) (pair, peekState) {
-			site, node, st := c.peekSite(name)
-			return pair{site, node}, st
-		},
-		func(ctx context.Context, c *Central) (pair, error) {
-			site, node, err := c.LookupSite(ctx, name)
-			return pair{site, node}, err
-		},
-		func() error { return fmt.Errorf("%w: site %q", ErrNameExpired, name) },
-	)
-	return p.site, p.node, err
+	p, err := lookup(ctx, s, name, func(t *table) (pair, peekState, <-chan struct{}) {
+		site, node, st, gen := t.peekSite(name)
+		return pair{site, node}, st, gen
+	})
+	if err != nil {
+		return 0, 0, lookupErr(err, fmt.Sprintf("site %q", name))
+	}
+	return p.site, p.node, nil
 }
 
 // LookupName implements Service.
@@ -517,18 +482,14 @@ func (s *Sharded) LookupName(ctx context.Context, siteName, id string) (vm.NetRe
 		ref vm.NetRef
 		sig string
 	}
-	r, err := shardedLookup(ctx, s, siteName,
-		func(c *Central) (res, peekState) {
-			ref, sig, st := c.peekName(siteName, id)
-			return res{ref, sig}, st
-		},
-		func(ctx context.Context, c *Central) (res, error) {
-			ref, sig, err := c.LookupName(ctx, siteName, id)
-			return res{ref, sig}, err
-		},
-		func() error { return fmt.Errorf("%w: %s.%s", ErrNameExpired, siteName, id) },
-	)
-	return r.ref, r.sig, err
+	r, err := lookup(ctx, s, siteName, func(t *table) (res, peekState, <-chan struct{}) {
+		ref, sig, st, gen := t.peekName(siteName, id)
+		return res{ref, sig}, st, gen
+	})
+	if err != nil {
+		return vm.NetRef{}, "", lookupErr(err, siteName+"."+id)
+	}
+	return r.ref, r.sig, nil
 }
 
 // LookupClass implements Service.
@@ -537,39 +498,22 @@ func (s *Sharded) LookupClass(ctx context.Context, siteName, class string) (vm.N
 		nc  vm.NetClass
 		sig string
 	}
-	r, err := shardedLookup(ctx, s, siteName,
-		func(c *Central) (res, peekState) {
-			nc, sig, st := c.peekClass(siteName, class)
-			return res{nc, sig}, st
-		},
-		func(ctx context.Context, c *Central) (res, error) {
-			nc, sig, err := c.LookupClass(ctx, siteName, class)
-			return res{nc, sig}, err
-		},
-		func() error { return fmt.Errorf("%w: class %s.%s", ErrNameExpired, siteName, class) },
-	)
-	return r.nc, r.sig, err
-}
-
-// SiteEpoch returns the registered epoch of a site, routed to its
-// owner (parity with Central's test witness).
-func (s *Sharded) SiteEpoch(name string) (uint32, bool) {
-	s.mu.RLock()
-	owner, ok := s.cur.Owner(name)
-	sh := s.shards[owner]
-	s.mu.RUnlock()
-	if !ok || sh == nil {
-		return 0, false
+	r, err := lookup(ctx, s, siteName, func(t *table) (res, peekState, <-chan struct{}) {
+		nc, sig, st, gen := t.peekClass(siteName, class)
+		return res{nc, sig}, st, gen
+	})
+	if err != nil {
+		return vm.NetClass{}, "", lookupErr(err, "class "+siteName+"."+class)
 	}
-	return sh.SiteEpoch(name)
+	return r.nc, r.sig, nil
 }
 
-// Dump lists every shard's tables (tyconame -shards, tests).
+// Dump lists every shard's tables (tyconame prints it on shutdown).
 func (s *Sharded) Dump() string {
 	s.mu.RLock()
 	version := s.cur.Version
 	members := append([]uint32(nil), s.cur.Members...)
-	shards := make(map[uint32]*Central, len(s.shards))
+	shards := make(map[uint32]*table, len(s.shards))
 	for m, sh := range s.shards {
 		shards[m] = sh
 	}
@@ -577,7 +521,7 @@ func (s *Sharded) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "shard map v%d members %v\n", version, members)
 	for _, m := range members {
-		fmt.Fprintf(&b, "-- shard %d --\n%s", m, shards[m].Dump())
+		fmt.Fprintf(&b, "-- shard %d --\n%s", m, shards[m].dump())
 	}
 	return b.String()
 }

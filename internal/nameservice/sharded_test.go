@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/testutil"
 	"repro/internal/vm"
 )
 
@@ -234,9 +236,9 @@ func TestShardedOneHopForwarding(t *testing.T) {
 }
 
 func TestShardedLeaseAndFencingSemantics(t *testing.T) {
-	// The per-shard tables are plain Centrals: TTL expiry, epoch
-	// supersede and node fencing must behave identically to the
-	// unsharded service.
+	// The per-shard tables share one lease clock and one fence set:
+	// TTL expiry, epoch supersede and node fencing must behave as on a
+	// one-member ring.
 	clk := &fakeShardClock{now: time.Unix(1000, 0)}
 	s := NewSharded(ShardedConfig{Members: []uint32{1, 2, 3}, Vnodes: 16, LeaseTTL: time.Minute, Clock: clk})
 	ctx := context.Background()
@@ -340,6 +342,57 @@ func TestShardedTCPShardMapAndVersions(t *testing.T) {
 	}
 	if m2.Version != 2 {
 		t.Fatalf("refetched map version = %d, want 2", m2.Version)
+	}
+}
+
+func TestBlockedLookupsHoldNoGoroutines(t *testing.T) {
+	// A blocked lookup waits in its caller's goroutine: n blocked
+	// callers cost n goroutines, not n callers plus n helpers.
+	s := shardedForTest(1, 2, 3)
+	const n = 1000
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make(chan error, n)
+	var started sync.WaitGroup
+	started.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			started.Done()
+			_, _, err := s.LookupName(ctx, fmt.Sprintf("site-%d", i), "x")
+			errs <- err
+		}(i)
+	}
+	// A helper would appear as soon as its caller misses; give the
+	// callers a moment to reach the wait before counting.
+	started.Wait()
+	time.Sleep(50 * time.Millisecond)
+	if grown := runtime.NumGoroutine() - base; grown > n+50 {
+		t.Fatalf("%d blocked lookups grew the goroutine count by %d, want at most %d", n, grown, n+50)
+	}
+	if len(errs) != 0 {
+		t.Fatalf("lookup returned before any export: %v", <-errs)
+	}
+	cancel()
+	for i := 0; i < n; i++ {
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled lookup = %v, want a wrapped context.Canceled", err)
+		}
+	}
+}
+
+func TestSatisfiedLookupAllocBudget(t *testing.T) {
+	// The import path's common case — the export is already there —
+	// allocates nothing on any ring shape.
+	ctx := context.Background()
+	for _, members := range [][]uint32{nil, {1, 2, 3}} {
+		s := NewSharded(ShardedConfig{Members: members})
+		registerN(t, s, 10)
+		testutil.CheckAllocs(t, fmt.Sprintf("satisfied LookupName on members %v", members), 0, 1000, func() {
+			if _, _, err := s.LookupName(ctx, "site-7", "x"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -129,15 +129,6 @@ func (m *ShardMap) Owner(key string) (uint32, bool) {
 	return m.ring[i].member, true
 }
 
-// HasMember reports whether id is on the ring.
-func (m *ShardMap) HasMember(id uint32) bool {
-	if m == nil {
-		return false
-	}
-	i := sort.Search(len(m.Members), func(i int) bool { return m.Members[i] >= id })
-	return i < len(m.Members) && m.Members[i] == id
-}
-
 // Moved reports whether key's owner differs between two map versions —
 // the per-key predicate behind selective cache flushes (only moved
 // ranges are invalidated, DESIGN.md §16).

@@ -21,7 +21,7 @@ import (
 // recorder — into CrashDumpDir before restarting it.
 func TestSiteCrashDumpsFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	defer fabric.Close()
 	tr, err := fabric.Attach(1)

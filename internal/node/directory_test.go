@@ -23,7 +23,7 @@ import (
 // registered keeps resolving, always with its journal, and no delivery
 // to a live site finds it unknown.
 func TestSiteDirectoryUnderChurn(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	defer fabric.Close()
 	trA, err := fabric.Attach(1)

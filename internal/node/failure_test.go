@@ -16,7 +16,7 @@ import (
 // that the verdict has reached the reliable layer by the time the
 // event is observed: sends to the stopped peer fail fast.
 func TestNodeFailureDetection(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	t1, _ := fabric.Attach(1)
 	t2, _ := fabric.Attach(2)
@@ -56,7 +56,7 @@ func TestNodeFailureDetection(t *testing.T) {
 // chaining: gossip frames are consumed by the membership agent while
 // other control frames still reach the original handler.
 func TestNodeFailureDetectorCoexistsWithControl(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	t1, _ := fabric.Attach(1)
 	t2, _ := fabric.Attach(2)

@@ -17,7 +17,7 @@ import (
 // twoNodes builds a two-node network over an in-memory fabric.
 func twoNodes(t *testing.T, force bool) (*node.Node, *node.Node, func()) {
 	t.Helper()
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	t1, err := fabric.Attach(1)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestSiteIDsAreUniqueAcrossNodes(t *testing.T) {
 func TestTyCOiSubmission(t *testing.T) {
 	// Full shell protocol: submit source over TCP, read streamed
 	// output (the tycosh path).
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	tr, err := fabric.Attach(1)
 	if err != nil {
@@ -202,7 +202,7 @@ func TestTyCOiSubmission(t *testing.T) {
 }
 
 func TestTyCOiCompileErrorReported(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	tr, _ := fabric.Attach(1)
 	n := node.New(node.Config{ID: 1, NS: ns, Transport: tr})
@@ -232,7 +232,7 @@ func TestTyCOiCompileErrorReported(t *testing.T) {
 }
 
 func TestControlFramesRoundTrip(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	t1, _ := fabric.Attach(1)
 	t2, _ := fabric.Attach(2)

@@ -22,7 +22,7 @@ import (
 // duplicate effects, export resolvable at the old name, fresh traffic
 // served by the new incarnation.
 func TestSupervisedSiteRestartsAfterKill(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	defer fabric.Close()
 	tr, err := fabric.Attach(1)
@@ -75,7 +75,7 @@ func TestSupervisedSiteRestartsAfterKill(t *testing.T) {
 // soon as it comes up: after maxRestarts the node surfaces the error
 // instead of flapping forever.
 func TestSupervisorGivesUpOnCrashLoop(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	defer fabric.Close()
 	tr, err := fabric.Attach(1)
@@ -127,7 +127,7 @@ func TestSupervisorGivesUpOnCrashLoop(t *testing.T) {
 // apply it twice (or, colliding with an id the other stream used,
 // drop a fresh one).
 func TestSenderToTwoSitesRecoversExactlyOnce(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	defer fabric.Close()
 	tr, err := fabric.Attach(1)

@@ -16,7 +16,7 @@ import (
 // to adjust the node configuration before construction.
 func oneNode(t testing.TB, cfg func(*node.Config)) (*node.Node, func()) {
 	t.Helper()
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	tr, err := fabric.Attach(1)
 	if err != nil {
@@ -93,7 +93,7 @@ in Call[50]`, out)
 // the reply frame from the transport receive path); with the race
 // present a round eventually hangs and trips the waitFor deadline.
 func TestSchedulerQuietNodeWake(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	t1, err := fabric.Attach(1)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestSchedulerQuietNodeWake(t *testing.T) {
 // pipelined requests must still get every reply — the cap applies
 // backpressure without deadlocking or losing envelopes.
 func TestBatchRingCapBackpressure(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	t1, err := fabric.Attach(1)
 	if err != nil {

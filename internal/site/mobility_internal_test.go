@@ -38,7 +38,7 @@ func shipTwice(t *testing.T, src string) (*Site, *keepRouter) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	router := &keepRouter{}
 	s := New(Config{Name: "memo", ID: 1, NodeID: 1, NS: ns, Router: router})
 	t.Cleanup(func() { s.Stop(); s.Turn() })
@@ -145,7 +145,7 @@ in export new svc Server[svc]`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := New(Config{Name: "memo", ID: 1, NodeID: 1, NS: nameservice.NewCentral(), Router: router})
+		fresh := New(Config{Name: "memo", ID: 1, NodeID: 1, NS: nameservice.NewSharded(nameservice.ShardedConfig{}), Router: router})
 		if err := fresh.m.DecodeSnapshot(r); err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func twoSites(t *testing.T, srcA, srcB string) (*site.Site, *site.Site, *testuti
 // many as there are programs, connected by one loopRouter.
 func connectedSites(t *testing.T, srcs ...string) ([]*site.Site, []*testutil.Buf, func()) {
 	t.Helper()
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	router := &loopRouter{sites: map[uint32]*site.Site{}}
 	names := []string{"alpha", "beta", "gamma"}
 	var ss []*site.Site
@@ -194,7 +194,7 @@ export new pong (
 }
 
 func TestMobilityFetchUnknownClassFaults(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	router := &loopRouter{sites: map[uint32]*site.Site{}}
 	progA, err := node.CompileSubmission("alpha", `inaction`)
 	if err != nil {

@@ -122,7 +122,7 @@ func journalRecovery(t *testing.T, ckptEvery int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	prog, err := node.CompileSubmission("svr", loopSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	prog, err := node.CompileSubmission("svr", loopSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestReplayDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cns := nameservice.NewCentral()
+		cns := nameservice.NewSharded(nameservice.ShardedConfig{})
 		var o testutil.Buf
 		r := recoverSite(t, mf, cns, "svr", &o, 1)
 		waitSite(t, func() bool {
@@ -430,7 +430,7 @@ func TestLinkCacheSurvivesRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r := restoredSite(t, rf, nameservice.NewCentral(), "client", &testutil.Buf{}, 1000)
+		r := restoredSite(t, rf, nameservice.NewSharded(nameservice.ShardedConfig{}), "client", &testutil.Buf{}, 1000)
 		for r.Turn() == site.TurnMore {
 		}
 		if err := r.Err(); err != nil {

@@ -58,7 +58,7 @@ func (f *fakeRouter) RouteFetchRep(from *site.Site, op wire.OpRef, to site.Addr,
 
 func newSite(t *testing.T, name string, src string, out *testutil.Buf, router site.Router) *site.Site {
 	t.Helper()
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	prog, err := node.CompileSubmission(name, src)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestSiteExportTableGrowsOnEgress(t *testing.T) {
 	fr := &fakeRouter{}
 	// The client sends a locally created reply channel to a remote
 	// ref: that channel must enter the export table.
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	if err := ns.RegisterSite(context.Background(), "far", 9, 9, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ import svc from far in new r (svc!call[r])`)
 
 func TestSiteFetchCoalescing(t *testing.T) {
 	fr := &fakeRouter{}
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	if err := ns.RegisterSite(context.Background(), "lib", 9, 9, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ import K from lib in (K[1] | K[2] | K[3])`)
 
 func TestSiteDynamicClassArityCheck(t *testing.T) {
 	fr := &fakeRouter{}
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	if err := ns.RegisterSite(context.Background(), "lib", 9, 9, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ in export new p Serve[p]`, "p", cfg)
 // name under.
 func turnSite(tb testing.TB, siteName, src, name string, cfg site.Config) (*site.Site, uint32) {
 	tb.Helper()
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	prog, err := node.CompileSubmission(siteName, src)
 	if err != nil {
 		tb.Fatal(err)

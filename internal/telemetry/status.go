@@ -150,7 +150,7 @@ func (s *SchedStatus) RunQueueDepth() int {
 // value and are omitted from the JSON.
 type NSStatus struct {
 	// MapVersion is the routing snapshot this node last observed; 0
-	// means the service is unsharded.
+	// means no reply from the authority has been seen yet.
 	MapVersion  uint64 `json:"map_version,omitempty"`
 	Transitions uint64 `json:"transitions,omitempty"`
 	Forwards    uint64 `json:"forwards,omitempty"`

@@ -68,7 +68,7 @@ func TestCoordinatorPureWiring(t *testing.T) {
 // TestCoordinatorOverNodes runs the distributed protocol over real
 // nodes and the in-memory fabric, with actual DiTyCO sites doing work.
 func TestCoordinatorOverNodes(t *testing.T) {
-	ns := nameservice.NewCentral()
+	ns := nameservice.NewSharded(nameservice.ShardedConfig{})
 	fabric := transport.NewFabric(transport.Ideal)
 	t1, _ := fabric.Attach(1)
 	t2, _ := fabric.Attach(2)
