@@ -47,9 +47,11 @@ func E10(o Options) (*Table, error) {
 		var base time.Duration
 		for _, mode := range []string{"off", "mem", "file"} {
 			var jf journal.Factory
+			var groups *e10Groups
 			switch mode {
 			case "mem":
-				jf = journal.NewMemFactory()
+				groups = &e10Groups{Factory: journal.NewMemFactory()}
+				jf = groups
 			case "file":
 				dir, err := os.MkdirTemp("", "e10-journal-")
 				if err != nil {
@@ -80,6 +82,9 @@ func E10(o Options) (*Table, error) {
 				"hot path, " + link, "journal=" + mode, fmt.Sprintf("%d", hotChunks),
 				best.Round(time.Millisecond).String(), "-", "-", "-", rate(hotChunks, best), overhead,
 			})
+			if groups != nil {
+				t.Notes = append(t.Notes, fmt.Sprintf("group commit, %s, journal=mem, per run: %s", link, groups.summary(reps)))
+			}
 		}
 	}
 
@@ -137,6 +142,67 @@ func (w *e10Buf) lines() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return strings.Count(w.b.String(), "chunk ")
+}
+
+// e10Groups counts the store appends the hot path makes against the
+// records they carry (a site.RecGroup carries several), for the seti
+// server's journal and the workers' apart: four workers with one
+// request in flight each can reach the server in one frame and one
+// turn, while a worker only ever has one delivery to commit.
+type e10Groups struct {
+	journal.Factory
+	mu              sync.Mutex
+	server, workers e10Tally
+}
+
+type e10Tally struct{ appends, groups, records int }
+
+type e10GroupStore struct {
+	journal.Store
+	g     *e10Groups
+	tally *e10Tally
+}
+
+func (g *e10Groups) Open(name string) (journal.Store, error) {
+	st, err := g.Factory.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	tally := &g.workers
+	if strings.HasSuffix(name, "/seti") {
+		tally = &g.server
+	}
+	return &e10GroupStore{Store: st, g: g, tally: tally}, nil
+}
+
+func (s *e10GroupStore) Append(rec journal.Record) error {
+	n, group := 1, 0
+	if rec.Kind == site.RecGroup {
+		n, group = 0, 1
+		for d := rec.Data; len(d) > 0; n++ {
+			var ok bool
+			if _, d, ok = journal.NextFramed(d); !ok {
+				break
+			}
+		}
+	}
+	s.g.mu.Lock()
+	s.tally.appends++
+	s.tally.groups += group
+	s.tally.records += n
+	s.g.mu.Unlock()
+	return s.Store.Append(rec)
+}
+
+// summary reports the tallies averaged over reps runs.
+func (g *e10Groups) summary(reps int) string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	f := func(t e10Tally) string {
+		return fmt.Sprintf("%d records in %d store appends (%.0f%% of them groups)",
+			t.records/reps, t.appends/reps, 100*float64(t.groups)/float64(max(t.appends, 1)))
+	}
+	return "seti server " + f(g.server) + "; workers " + f(g.workers)
 }
 
 // e10Run times the plain quota with the given journal knob (nil =

@@ -174,8 +174,11 @@ func (s *memStore) Close() error { return nil }
 
 // FileFactory persists one log file per site under Dir. The on-disk
 // format is a flat sequence of [kind byte][uvarint length][data]
-// records; Replace writes a temp file and renames it over the log, so
-// a crash during compaction leaves either the old or the new log.
+// records (AppendFramed). Each Append is one write, so a crash tears at
+// most the last record, and Records drops a torn record whole — however
+// many records its caller packed into it. Replace writes a temp file
+// and renames it over the log, so a crash during compaction leaves
+// either the old or the new log.
 //
 // Appends are buffered through the OS (no fsync): the failure model is
 // process death, not machine death — matching the paper's runtime,
@@ -260,10 +263,27 @@ type fileStore struct {
 	scratch []byte // reused append-encoding buffer, guarded by mu
 }
 
-func appendRecord(buf []byte, rec Record) []byte {
+// AppendFramed appends rec to buf in the file store's framing:
+// [kind byte][uvarint length][data].
+func AppendFramed(buf []byte, rec Record) []byte {
 	buf = append(buf, byte(rec.Kind))
 	buf = binary.AppendUvarint(buf, uint64(len(rec.Data)))
 	return append(buf, rec.Data...)
+}
+
+// NextFramed parses the record AppendFramed wrote at the head of data
+// and returns it with the bytes after it. The record's data sub-slices
+// data. ok is false when data does not start with a whole record.
+func NextFramed(data []byte) (rec Record, rest []byte, ok bool) {
+	if len(data) == 0 {
+		return Record{}, data, false
+	}
+	n, w := binary.Uvarint(data[1:])
+	if w <= 0 || n > uint64(len(data)-1-w) {
+		return Record{}, data, false
+	}
+	end := 1 + w + int(n)
+	return Record{Kind: Kind(data[0]), Data: data[1+w : end : end]}, data[end:], true
 }
 
 func (s *fileStore) Append(rec Record) error {
@@ -272,7 +292,7 @@ func (s *fileStore) Append(rec Record) error {
 	if s.f == nil {
 		return fmt.Errorf("journal: store %s is closed", s.path)
 	}
-	s.scratch = appendRecord(s.scratch[:0], rec)
+	s.scratch = AppendFramed(s.scratch[:0], rec)
 	if _, err := s.f.Write(s.scratch); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
@@ -284,7 +304,7 @@ func (s *fileStore) Replace(recs []Record) error {
 	defer s.mu.Unlock()
 	var buf []byte
 	for _, rec := range recs {
-		buf = appendRecord(buf, rec)
+		buf = AppendFramed(buf, rec)
 	}
 	tmp := s.path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
@@ -313,18 +333,15 @@ func (s *fileStore) Records() ([]Record, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	var out []Record
-	for i := 0; i < len(data); {
-		kind := Kind(data[i])
-		i++
-		n, w := binary.Uvarint(data[i:])
-		if w <= 0 || n > uint64(len(data)-i-w) {
+	for len(data) > 0 {
+		rec, rest, ok := NextFramed(data)
+		if !ok {
 			// A torn tail record (crash mid-append) is dropped: the
 			// write-ahead discipline means its effects never happened.
 			return out, nil
 		}
-		i += w
-		out = append(out, Record{Kind: kind, Data: data[i : i+int(n) : i+int(n)]})
-		i += int(n)
+		out = append(out, rec)
+		data = rest
 	}
 	return out, nil
 }

@@ -147,6 +147,12 @@ type Node struct {
 	// writers (spawn, recover, adopt, drain, stop) serialize on mu.
 	dir siteDir
 
+	// accepts stages an accepted batch frame's records per destination
+	// site (acceptFrame); entries and their buffers are reused across
+	// frames.
+	acceptMu sync.Mutex
+	accepts  []acceptGroup
+
 	mu       sync.Mutex
 	nextSite uint32
 	err      error
@@ -534,65 +540,108 @@ func (n *Node) journalFor(siteID uint32) *site.Journal {
 	return nil
 }
 
-// acceptFrame is the reliable layer's pre-ack hook: journal a mobility
-// frame in its destination site's log, or refuse the ack. A frame for a
-// site whose journal is not open yet (the node is mid-recovery) is
-// refused too — the sender retransmits until recovery re-registers the
-// site, so nothing is acknowledged into the void.
-// Accept-before-ack holds per envelope: every entry of a batch is
-// journaled before the single ack covering the whole batch can go
-// out. An error refuses the batch unacked — the sender retransmits it,
-// and entries journaled by the failed attempt are deduplicated at
-// replay by their (site, id) op refs.
-func (n *Node) acceptFrame(src transport.NodeID, frame []byte) error {
-	if wire.IsBatch(frame) {
-		it, err := wire.NewBatchIter(frame)
-		if err != nil {
-			return nil // undecodable frames are acked; dispatch reports them
-		}
-		var env wire.Envelope
-		for {
-			ok, err := it.Next(&env)
-			if err != nil || !ok {
-				return nil
-			}
-			if err := n.acceptEnvelope(&env); err != nil {
-				return err
-			}
-		}
-	}
-	var env wire.Envelope
-	if err := wire.DecodeEnvelopeInto(&env, frame); err != nil {
-		// Undecodable frames are acked; dispatch reports them.
-		return nil
-	}
-	return n.acceptEnvelope(&env)
+// acceptGroup is one destination site's share of an accepted frame.
+type acceptGroup struct {
+	jl *site.Journal
+	g  site.Group
 }
 
-// acceptEnvelope journals one mobility envelope in its destination
-// site's log, or refuses the ack.
-func (n *Node) acceptEnvelope(env *wire.Envelope) error {
+// acceptFrame is the reliable layer's pre-ack hook: journal a mobility
+// frame in its destination sites' logs, or refuse the ack. A frame for
+// a site whose journal is not open yet (the node is mid-recovery) is
+// refused too — the sender retransmits until recovery re-registers the
+// site, so nothing is acknowledged into the void.
+// Accept-before-ack holds per frame: a batch's entries are staged per
+// destination site, in envelope order, and each site's share is
+// committed with one journal append before the single ack covering the
+// whole batch can go out. A refusal is decided before anything is
+// committed; a failed commit refuses the batch too — the sender
+// retransmits it, and entries journaled by the failed attempt are
+// deduplicated at replay by their (site, id) op refs.
+func (n *Node) acceptFrame(src transport.NodeID, frame []byte) error {
+	var env wire.Envelope
+	if !wire.IsBatch(frame) {
+		if err := wire.DecodeEnvelopeInto(&env, frame); err != nil {
+			// Undecodable frames are acked; dispatch reports them.
+			return nil
+		}
+		jl, err := n.acceptJournal(&env)
+		if jl == nil {
+			return err
+		}
+		return jl.AppendAccepted(env.Type, env.SrcNode, env.Payload)
+	}
+	it, err := wire.NewBatchIter(frame)
+	if err != nil {
+		return nil // undecodable frames are acked; dispatch reports them
+	}
+	n.acceptMu.Lock()
+	defer n.acceptMu.Unlock()
+	gs := n.accepts[:0]
+	for {
+		// An undecodable entry ends the batch: what decoded before it is
+		// accepted, and dispatch reports the rest.
+		if ok, derr := it.Next(&env); derr != nil || !ok {
+			break
+		}
+		var jl *site.Journal
+		if jl, err = n.acceptJournal(&env); err != nil {
+			break
+		}
+		if jl == nil {
+			continue
+		}
+		i := 0
+		for i < len(gs) && gs[i].jl != jl {
+			i++
+		}
+		if i == len(gs) {
+			if i < cap(gs) {
+				gs = gs[:i+1] // a reused entry keeps its buffers
+			} else {
+				gs = append(gs, acceptGroup{})
+			}
+			gs[i].jl = jl
+		}
+		gs[i].g.AddAccepted(env.Type, env.SrcNode, env.Payload)
+	}
+	for i := range gs {
+		if err == nil {
+			err = gs[i].jl.Commit(&gs[i].g)
+		} else {
+			gs[i].g.Reset()
+		}
+		gs[i].jl = nil
+	}
+	n.accepts = gs
+	return err
+}
+
+// acceptJournal returns the journal an envelope must be accepted into
+// before the ack: nil for traffic this node does not journal, and an
+// error when the envelope's site has no journal open to take it.
+func (n *Node) acceptJournal(env *wire.Envelope) (*site.Journal, error) {
 	switch env.Type {
 	case wire.FMsg, wire.FObj, wire.FFetchReq, wire.FFetchRep:
 	default:
-		return nil // control traffic is not journaled
+		return nil, nil // control traffic is not journaled
 	}
 	op, dstSite, err := wire.PeekOp(env.Payload)
 	if err != nil || op.IsZero() {
-		return nil
+		return nil, nil
 	}
 	if _, fwd := n.forwardFor(dstSite); fwd {
 		// An evacuated site's straggler is acked without journaling
 		// here: dispatch forwards it to the adopter, whose own
 		// accept-before-ack hook journals it before acknowledging the
 		// forwarded copy.
-		return nil
+		return nil, nil
 	}
 	jl := n.journalFor(dstSite)
 	if jl == nil {
-		return fmt.Errorf("node %d: no journal open for site %d", n.cfg.ID, dstSite)
+		return nil, fmt.Errorf("node %d: no journal open for site %d", n.cfg.ID, dstSite)
 	}
-	return jl.AppendAccepted(env.Type, env.SrcNode, env.Payload)
+	return jl, nil
 }
 
 // send ships one encoded frame. A destination declared dead is not an

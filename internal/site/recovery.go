@@ -4,9 +4,11 @@
 //
 // The protocol in one paragraph: a site journals its program when it
 // loads, every delivery it handles (stamped with the machine's
-// context-switch count at handling time), and — via the node, before
-// the transport acknowledgement — every mobility operation accepted on
-// its behalf. Periodically, at a stable idle point, the log is
+// context-switch count at handling time; a turn's messages and objects
+// commit as one group before the machine runs), and — via the node,
+// before the transport acknowledgement — every mobility operation
+// accepted on its behalf (one group per frame and destination site).
+// Periodically, at a stable idle point, the log is
 // compacted to a snapshot of the machine plus the site overlay.
 // Recovery restores the last checkpoint (or re-links the recorded
 // program), replays each journaled delivery at exactly the recorded
@@ -23,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -52,6 +55,11 @@ const (
 	// RecCheckpoint: a full machine + site-overlay snapshot; compaction
 	// drops everything the snapshot covers.
 	RecCheckpoint journal.Kind = 5
+	// RecGroup: several records committed with one store append (a
+	// Group); its data is the records in the store's own framing
+	// (journal.AppendFramed). Journal.Records flattens it, so nothing
+	// past the Journal ever sees one.
+	RecGroup journal.Kind = 6
 )
 
 // resolvedKind tags a Resolved delivery in a RecDelivery record; the
@@ -66,19 +74,21 @@ const resolvedKind byte = 0
 type Journal struct {
 	mu       sync.Mutex
 	st       journal.Store
-	scratch  []byte // reused accepted-record encode buffer, guarded by mu
-	onAppend func() // telemetry hook, invoked after successful appends
+	scratch  []byte         // reused accepted-record encode buffer, guarded by mu
+	onAppend func(recs int) // telemetry hook, invoked after successful appends
 	appends  atomic.Uint64
 }
 
 // Appends reports how many records were appended through this handle
 // (the journal "position" /statusz exposes; compaction does not reset
-// it, so the counter stays monotone across checkpoints).
+// it, so the counter stays monotone across checkpoints). A committed
+// group counts the records it holds, not the one store append.
 func (j *Journal) Appends() uint64 { return j.appends.Load() }
 
-// SetOnAppend installs a hook called after every successful record
-// append (the node points it at the telemetry journal counter).
-func (j *Journal) SetOnAppend(f func()) {
+// SetOnAppend installs a hook called after every successful store
+// append with the number of records it held (the node points it at the
+// telemetry journal counter).
+func (j *Journal) SetOnAppend(f func(recs int)) {
 	j.mu.Lock()
 	j.onAppend = f
 	j.mu.Unlock()
@@ -87,18 +97,23 @@ func (j *Journal) SetOnAppend(f func()) {
 // NewJournal wraps a store.
 func NewJournal(st journal.Store) *Journal { return &Journal{st: st} }
 
+// store appends rec, which holds recs records. Callers hold j.mu.
+func (j *Journal) store(rec journal.Record, recs int) error {
+	if err := j.st.Append(rec); err != nil {
+		return err
+	}
+	j.appends.Add(uint64(recs))
+	if j.onAppend != nil {
+		j.onAppend(recs)
+	}
+	return nil
+}
+
 // Append adds one record.
 func (j *Journal) Append(k journal.Kind, data []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.st.Append(journal.Record{Kind: k, Data: data}); err != nil {
-		return err
-	}
-	j.appends.Add(1)
-	if j.onAppend != nil {
-		j.onAppend()
-	}
-	return nil
+	return j.store(journal.Record{Kind: k, Data: data}, 1)
 }
 
 // AppendAccepted logs a RecAccepted record, encoding it into a buffer
@@ -108,34 +123,117 @@ func (j *Journal) Append(k journal.Kind, data []byte) error {
 func (j *Journal) AppendAccepted(t wire.FrameType, srcNode uint32, payload []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	b := append(j.scratch[:0], byte(t))
-	b = binary.AppendUvarint(b, uint64(srcNode))
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	b = append(b, payload...)
-	j.scratch = b
-	if err := j.st.Append(journal.Record{Kind: RecAccepted, Data: b}); err != nil {
-		return err
-	}
-	j.appends.Add(1)
-	if j.onAppend != nil {
-		j.onAppend()
-	}
-	return nil
+	j.scratch = appendAccepted(j.scratch[:0], t, srcNode, payload)
+	return j.store(journal.Record{Kind: RecAccepted, Data: j.scratch}, 1)
 }
 
-// Records returns the current log.
+// appendAccepted appends a RecAccepted payload to b.
+func appendAccepted(b []byte, t wire.FrameType, srcNode uint32, payload []byte) []byte {
+	b = append(b, byte(t))
+	b = binary.AppendUvarint(b, uint64(srcNode))
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	return append(b, payload...)
+}
+
+// Group stages records for one Commit: they are framed back to back in
+// a buffer reused across commits, so a group of any size costs a single
+// store append (and a memory store a single copy). The zero value is an
+// empty group.
+type Group struct {
+	buf []byte // the staged records, journal.AppendFramed one after another
+	n   int
+}
+
+// add stages one record; data is copied.
+func (g *Group) add(k journal.Kind, data []byte) {
+	g.buf = journal.AppendFramed(g.buf, journal.Record{Kind: k, Data: data})
+	g.n++
+}
+
+// AddAccepted stages the RecAccepted record AppendAccepted would write,
+// framing it straight into the group so the payload is copied once.
+func (g *Group) AddAccepted(t wire.FrameType, srcNode uint32, payload []byte) {
+	n := 1 + uvarintLen(uint64(srcNode)) + uvarintLen(uint64(len(payload))) + len(payload)
+	g.buf = append(g.buf, byte(RecAccepted))
+	g.buf = binary.AppendUvarint(g.buf, uint64(n))
+	g.buf = appendAccepted(g.buf, t, srcNode, payload)
+	g.n++
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// Reset drops the staged records, keeping the buffers.
+func (g *Group) Reset() {
+	g.buf, g.n = g.buf[:0], 0
+}
+
+// Commit appends g's records as one store append and empties g, whether
+// or not the append succeeds. A group of one is written as that record,
+// unchanged; a larger one as a RecGroup record, which a file store
+// writes with one write and drops whole if a crash tears it.
+func (j *Journal) Commit(g *Group) error {
+	if g.n == 0 {
+		return nil
+	}
+	rec, n := journal.Record{Kind: RecGroup, Data: g.buf}, g.n
+	if n == 1 {
+		rec, _, _ = journal.NextFramed(g.buf)
+	}
+	// The record aliases g.buf, which nothing touches before the append
+	// below; emptying g first means a store that panics cannot get the
+	// same records committed twice by a recovering caller.
+	g.Reset()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.store(rec, n)
+}
+
+// Records returns the current log with every group flattened into the
+// records it holds, in order.
 func (j *Journal) Records() ([]journal.Record, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.st.Records()
+	return j.records()
+}
+
+// records is Records for callers holding j.mu.
+func (j *Journal) records() ([]journal.Record, error) {
+	recs, err := j.st.Records()
+	if err != nil {
+		return nil, err
+	}
+	if !slices.ContainsFunc(recs, func(rec journal.Record) bool { return rec.Kind == RecGroup }) {
+		return recs, nil
+	}
+	out := make([]journal.Record, 0, len(recs))
+	for i, rec := range recs {
+		if rec.Kind != RecGroup {
+			out = append(out, rec)
+			continue
+		}
+		for data := rec.Data; len(data) > 0; {
+			inner, rest, ok := journal.NextFramed(data)
+			if !ok {
+				return nil, fmt.Errorf("site: journal record %d: group torn at byte %d", i, len(rec.Data)-len(data))
+			}
+			if inner.Kind == RecGroup {
+				return nil, fmt.Errorf("site: journal record %d: group inside a group", i)
+			}
+			out = append(out, inner)
+			data = rest
+		}
+	}
+	return out, nil
 }
 
 // Compact atomically rewrites the log: build receives the current
-// records and returns their replacement. No append can interleave.
+// records, groups flattened, and returns their replacement. No append
+// can interleave.
 func (j *Journal) Compact(build func(old []journal.Record) ([]journal.Record, error)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	old, err := j.st.Records()
+	old, err := j.records()
 	if err != nil {
 		return err
 	}
@@ -248,7 +346,7 @@ func decodeProgramRecord(data []byte) (*programRecord, error) {
 	if p.classSigs, err = decodeStringMap(r); err != nil {
 		return nil, err
 	}
-	n, err := r.U()
+	n, err := r.Count("import signatures")
 	if err != nil {
 		return nil, err
 	}
@@ -271,12 +369,12 @@ func encodeStringMap(w *wire.Writer, m map[string]string) {
 }
 
 func decodeStringMap(r *wire.Reader) (map[string]string, error) {
-	n, err := r.U()
+	n, err := r.Count("signatures")
 	if err != nil {
 		return nil, err
 	}
 	m := make(map[string]string, n)
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		k, err := r.S()
 		if err != nil {
 			return nil, err
@@ -305,8 +403,8 @@ type deliveryRecord struct {
 // Resolved uses a private format (the resolved value is post-ingress,
 // so only channel/net/net-class kinds occur). The body is encoded into
 // one scratch writer and framed into the other; the result is valid
-// until the next call (the store copies what it keeps), so a journaled
-// delivery costs the store's copy and nothing else.
+// until the next call (the turn's group or the store copies what it
+// keeps), so journaled deliveries cost one store copy per group.
 func (s *Site) encodeDelivery(d Delivery) ([]byte, error) {
 	var kind byte
 	b := &s.recBody
@@ -530,7 +628,8 @@ func (l *RecoveredLog) SiteName() string { return l.prog.name }
 // Epoch returns the highest incarnation number in the log.
 func (l *RecoveredLog) Epoch() uint32 { return l.epoch }
 
-// LoadJournal parses a site's journal. Deliveries before the last
+// LoadJournal parses a site's journal, groups flattened (a malformed
+// group is an error, never a panic). Deliveries before the last
 // checkpoint are dropped (the snapshot covers them); accepted records
 // are kept in order and filtered against the applied set at replay.
 func LoadJournal(j *Journal) (*RecoveredLog, error) {

@@ -308,6 +308,10 @@ type Site struct {
 	// Scratch writers for RecDelivery records (encodeDelivery): the
 	// journal store copies what it keeps.
 	recHdr, recBody wire.Writer
+	// staged holds the RecDelivery records of the messages and objects
+	// handled since the last commit; Turn commits them as one group
+	// before the machine runs (journalDelivery).
+	staged Group
 
 	// Fetch bookkeeping.
 	nextReq      uint64
@@ -832,12 +836,17 @@ const (
 // (lease keep-alive, journal restore). A panic is converted into a
 // site error so a supervisor watching Done/Err can restart the site
 // instead of losing the process.
+//
+// Group commit: the journal records of the messages and objects a turn
+// drains are staged and committed as one append after the drain and
+// before the machine runs, which is the first point anything they
+// cause can leave the site. Every exit commits what is staged before
+// closing done, so the log holds the same records, in the same order,
+// as appending each one before its apply would have left.
 func (s *Site) Turn() (res TurnResult) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.setErr(fmt.Errorf("site %s: panic: %v", s.cfg.Name, p))
-			s.finish()
-			res = TurnStopped
+			res = s.stopWith(fmt.Errorf("site %s: panic: %v", s.cfg.Name, p))
 		}
 	}()
 	if !s.began {
@@ -848,16 +857,13 @@ func (s *Site) Turn() (res TurnResult) {
 		if l := s.restoreLog; l != nil {
 			s.restoreLog = nil
 			if err := s.restore(l); err != nil {
-				s.setErr(fmt.Errorf("site %s: recovery: %w", s.cfg.Name, err))
-				s.finish()
-				return TurnStopped
+				return s.stopWith(fmt.Errorf("site %s: recovery: %w", s.cfg.Name, err))
 			}
 		}
 	}
 	select {
 	case <-s.stop:
-		s.finish()
-		return TurnStopped
+		return s.stopWith(nil)
 	default:
 	}
 	s.probeTick()
@@ -870,18 +876,17 @@ func (s *Site) Turn() (res TurnResult) {
 		got++
 		s.idle.Store(false)
 		if err := s.handle(d); err != nil {
-			s.setErr(err)
-			s.finish()
-			return TurnStopped
+			return s.stopWith(err)
 		}
+	}
+	if err := s.commitStaged(); err != nil {
+		return s.stopWith(err)
 	}
 	s.tel.ObserveInboxDepth(got)
 	// Run a slice of threads.
 	n, err := s.m.RunSlice(s.cfg.PollInterval)
 	if err != nil {
-		s.setErr(err)
-		s.finish()
-		return TurnStopped
+		return s.stopWith(err)
 	}
 	if n > 0 || s.in.len() > 0 {
 		return TurnMore
@@ -906,9 +911,18 @@ func (s *Site) Turn() (res TurnResult) {
 	return TurnIdle
 }
 
-// finish closes done exactly once; the site is terminal afterwards.
-func (s *Site) finish() {
+// stopWith ends the site for good: it records err (nil for an orderly
+// stop), commits the staged journal records, and closes done exactly
+// once — last, so whoever watches Done reads a complete journal.
+func (s *Site) stopWith(err error) TurnResult {
+	if err != nil {
+		s.setErr(err)
+	}
+	if err := s.commitStaged(); err != nil {
+		s.setErr(err)
+	}
 	s.finishOnce.Do(func() { close(s.done) })
+	return TurnStopped
 }
 
 // keepAlive refreshes the site's name-service lease until the site
@@ -980,18 +994,9 @@ func (s *Site) handle(d Delivery) error {
 		s.tel.AddCounter("deadline.expired", 1)
 		return nil
 	}
-	if s.jl != nil && !s.replaying && d.Refetch == nil && !(d.Resolved != nil && d.Resolved.Err != nil) {
-		// Append before apply: a crash between journal and effect
-		// replays the delivery; a crash between effect and journal
-		// cannot happen. Failed resolutions are not journaled — they
-		// kill the site below, and the restarted incarnation should
-		// retry the lookup rather than replay the failure.
-		data, err := s.encodeDelivery(d)
-		if err != nil {
+	if s.jl != nil && !s.replaying {
+		if err := s.journalDelivery(d); err != nil {
 			return err
-		}
-		if err := s.jl.Append(RecDelivery, data); err != nil {
-			return fmt.Errorf("site %s: journal delivery: %w", s.cfg.Name, err)
 		}
 	}
 	// Apply under the delivery's trace and deadline: threads and queue
@@ -1019,6 +1024,45 @@ func (s *Site) handle(d Delivery) error {
 		p.applied.add(d.Op.ID)
 	}
 	s.sinceCkpt++
+	return nil
+}
+
+// journalDelivery writes d's RecDelivery record ahead of its apply: a
+// crash between journal and effect replays the delivery; a crash
+// between effect and journal cannot happen. Applying a message or
+// object only queues work in the machine — nothing leaves the site
+// until the turn's RunSlice — so its record is staged, and Turn commits
+// the turn's records as one group before running the machine. Any
+// other delivery can send while it applies: its record joins the
+// staged ones and the group commits at once. Refetches and failed
+// resolutions are not journaled, but still commit what is staged
+// before they apply — a failed resolution kills the site, and the
+// restarted incarnation should retry the lookup rather than replay the
+// failure.
+func (s *Site) journalDelivery(d Delivery) error {
+	queued := d.Msg != nil || d.Obj != nil
+	if !queued && (d.Refetch != nil || (d.Resolved != nil && d.Resolved.Err != nil)) {
+		return s.commitStaged()
+	}
+	data, err := s.encodeDelivery(d)
+	if err != nil {
+		return err
+	}
+	s.staged.add(RecDelivery, data)
+	if queued {
+		return nil
+	}
+	return s.commitStaged()
+}
+
+// commitStaged appends the staged delivery records as one group.
+func (s *Site) commitStaged() error {
+	if s.staged.n == 0 {
+		return nil
+	}
+	if err := s.jl.Commit(&s.staged); err != nil {
+		return fmt.Errorf("site %s: journal delivery: %w", s.cfg.Name, err)
+	}
 	return nil
 }
 

@@ -24,7 +24,7 @@ func fullTelemetry(t *testing.T) *Telemetry {
 	tel.Ship(0, wire.FBatch, wire.OpRef{}, 7) // no cached counter → ship.control
 	tel.Deliver(0, wire.FMsg, wire.OpRef{}, 1, true)
 	tel.Deliver(0, wire.FMsg, wire.OpRef{}, 1, false)
-	tel.JournalAppend()
+	tel.JournalAppend(1)
 	tel.Origin(tel.NextTrace(), 1)
 	tel.ObserveBatch(4, 512)
 	tel.ObserveInboxDepth(9)

@@ -228,12 +228,13 @@ func (t *Telemetry) ObserveCheckpoint(d time.Duration) {
 	t.ckptNanos.Observe(float64(d.Nanoseconds()))
 }
 
-// JournalAppend counts one write-ahead record hitting a journal.
-func (t *Telemetry) JournalAppend() {
+// JournalAppend counts recs write-ahead records hitting a journal in
+// one append (a committed group holds several).
+func (t *Telemetry) JournalAppend(recs int) {
 	if t == nil {
 		return
 	}
-	t.journalAppends.Inc()
+	t.journalAppends.Add(uint64(recs))
 }
 
 // SetGauge publishes an instantaneous value (pull-style stats merged

@@ -244,7 +244,7 @@ func TestNilTelemetryIsInert(t *testing.T) {
 	tel.Origin(1, 2)
 	tel.ObserveBatch(1, 10)
 	tel.ObserveInboxDepth(3)
-	tel.JournalAppend()
+	tel.JournalAppend(1)
 	tel.SetGauge("g", 1)
 	tel.AddCounter("c", 1)
 	if tel.Enabled() || tel.Registry() != nil || tel.Recorder() != nil {
