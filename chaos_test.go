@@ -127,7 +127,7 @@ func TestSetiSurvivesChaosAndWorkerCrash(t *testing.T) {
 		Chaos:       &transport.ChaosConfig{Seed: *chaosSeed, Drop: 0.2, Dup: 0.1, Reorder: 0.1},
 		Reliability: &transport.ReliableConfig{},
 		Telemetry:   &telemetry.Config{Trace: true},
-		Detect:      &core.DetectConfig{Period: 10 * time.Millisecond, SuspectAfter: 80 * time.Millisecond},
+		Detect:      &membership.Config{ProbeInterval: 10 * time.Millisecond, SuspectAfter: 80 * time.Millisecond},
 		OnSuspect: func(observer uint32, e membership.Event) {
 			if e.State == membership.StateSuspect || e.State == membership.StateDead {
 				susMu.Lock()
@@ -318,7 +318,7 @@ func TestSetiSurvivesServerCrashAndRecovery(t *testing.T) {
 		Chaos:           &transport.ChaosConfig{Seed: *chaosSeed, Drop: 0.05, Dup: 0.05, Reorder: 0.1},
 		Reliability:     &transport.ReliableConfig{},
 		Telemetry:       &telemetry.Config{Trace: true},
-		Detect:          &core.DetectConfig{Period: 10 * time.Millisecond, SuspectAfter: 80 * time.Millisecond},
+		Detect:          &membership.Config{ProbeInterval: 10 * time.Millisecond, SuspectAfter: 80 * time.Millisecond},
 		Journal:         jf,
 		CheckpointEvery: 4,
 		LeaseTTL:        time.Second,

@@ -77,9 +77,9 @@ func main() {
 	agents := map[uint32]*membership.M{}
 	for _, id := range ids {
 		id := id
-		agents[id] = nodes[id].AttachMembership(node.MembershipConfig{
-			Peers:    ids,
-			Interval: 5 * time.Millisecond,
+		agents[id] = nodes[id].AttachMembership(membership.Config{
+			Peers:         ids,
+			ProbeInterval: 5 * time.Millisecond,
 			OnEvent: func(e membership.Event) {
 				switch {
 				case down(e.State):

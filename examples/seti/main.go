@@ -82,7 +82,7 @@ func main() {
 				suspect = d
 			}
 		}
-		cfg.Detect = &core.DetectConfig{Period: period, SuspectAfter: suspect}
+		cfg.Detect = &membership.Config{ProbeInterval: period, SuspectAfter: suspect}
 		cfg.OnSuspect = func(observer uint32, e membership.Event) {
 			if e.State == membership.StateSuspect || e.State == membership.StateDead {
 				fmt.Printf("-- node %d: node %d is %s\n", observer, e.Node, e.State)
@@ -132,7 +132,7 @@ func main() {
 		time.Sleep(50 * time.Millisecond)
 		fmt.Printf("-- crashing worker%d (node %d)\n", *crash, 2+*crash)
 		cl.Crash(1 + *crash)
-		time.Sleep(cfg.Detect.SuspectAfter + 5*cfg.Detect.Period)
+		time.Sleep(cfg.Detect.SuspectAfter + 5*cfg.Detect.ProbeInterval)
 		fmt.Printf("-- recovering node %d from its journals\n", 2+*crash)
 		if err := cl.Recover(1 + *crash); err != nil {
 			fail(err)

@@ -77,31 +77,6 @@ func (p *Program) SiteProgram() *site.Program {
 	}
 }
 
-// DetectConfig configures the per-node failure detectors of a
-// cluster: SWIM-style gossip membership with a phi-accrual detector
-// (DESIGN.md §13) — one randomized probe per Period regardless of
-// cluster size, indirect ping-req fallback, and an adaptive suspicion
-// score instead of a binary timeout.
-type DetectConfig struct {
-	// Period is the probe interval (default 50ms).
-	Period time.Duration
-	// SuspectAfter is the minimum silence before suspicion (default
-	// 4 × Period; raise it on lossy links). Under gossip membership
-	// the phi score decides beyond this floor.
-	SuspectAfter time.Duration
-	// PhiThreshold is the phi-accrual suspicion score that convicts
-	// (default 8, i.e. a one-in-10^8 silence).
-	PhiThreshold float64
-	// DeadAfter is how long an unrefuted suspicion takes to become a
-	// Dead verdict (default 2 × SuspectAfter).
-	DeadAfter time.Duration
-	// IndirectProbes is the ping-req proxy fanout (default 2).
-	IndirectProbes int
-	// Seed fixes the gossip protocol's randomness (deterministic
-	// drills); 0 derives per-node seeds.
-	Seed uint64
-}
-
 // ClusterConfig configures an in-process cluster.
 type ClusterConfig struct {
 	// Nodes is the number of nodes (default 1).
@@ -126,8 +101,12 @@ type ClusterConfig struct {
 	Reliability *transport.ReliableConfig
 	// Detect, when non-nil, attaches a gossip membership agent to
 	// every node (feeding the reliable layer's peer-down state and the
-	// name service's fences).
-	Detect *DetectConfig
+	// name service's fences) and tunes its timing (DESIGN.md §13). The
+	// cluster fills Peers with every node and derives each node's Seed
+	// from a nonzero Seed; the node fills Self, Incarnation and Send.
+	// The cluster's own handler takes OnEvent: observe transitions
+	// through OnSuspect.
+	Detect *membership.Config
 	// OnSuspect receives every membership transition as the observing
 	// node's agent emits it — Suspect and Dead verdicts, refutations,
 	// departures, whether seen first-hand or learned by gossip. The
@@ -179,10 +158,6 @@ type ClusterConfig struct {
 	// tracing, flight recorder. Read it back via Cluster.Telemetry.
 	// The zero Config is a fine default.
 	Telemetry *telemetry.Config
-	// CrashDumpDir, when set with Telemetry on, collects a JSON
-	// telemetry snapshot from a node whenever one of its supervised
-	// sites crashes (node.Config.CrashDumpDir).
-	CrashDumpDir string
 	// Introspection, when non-nil, serves each node's observability
 	// HTTP endpoint (/metrics, /healthz, /statusz, /debug/…) and runs
 	// its stall detector (DESIGN.md §12). Implies telemetry on every
@@ -239,17 +214,6 @@ type Cluster struct {
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 64
-	}
-	if cfg.Journal != nil && cfg.Reliability != nil && !cfg.Reliability.Park {
-		// Parking is load-bearing for recovery: frames for a crashed
-		// peer must be held and re-injected once the supervisor brings
-		// it back, not dropped.
-		rel := *cfg.Reliability
-		rel.Park = true
-		cfg.Reliability = &rel
 	}
 	ns := cfg.NS
 	var auth *nameservice.Sharded
@@ -336,7 +300,6 @@ func (c *Cluster) newNode(id uint32, epoch uint32) (*node.Node, *transport.Mem, 
 		Supervise:         c.cfg.Supervise,
 		Batch:             c.cfg.Batch,
 		Telemetry:         tel,
-		CrashDumpDir:      c.cfg.CrashDumpDir,
 		Introspect:        intro,
 		Admission:         c.cfg.Admission,
 		OpDeadline:        c.cfg.OpDeadline,
@@ -396,24 +359,15 @@ func (c *Cluster) attachMembership(n *node.Node) *membership.M {
 		peers[i] = uint32(i + 1)
 	}
 	observer := n.ID()
-	seed := c.cfg.Detect.Seed
-	if seed != 0 {
+	mc := *c.cfg.Detect
+	mc.Peers = peers
+	if mc.Seed != 0 {
 		// Per-node derivation: identical seeds would synchronize every
 		// agent's probe order.
-		seed = seed*0x9e3779b97f4a7c15 + uint64(observer)
+		mc.Seed = mc.Seed*0x9e3779b97f4a7c15 + uint64(observer)
 	}
-	return n.AttachMembership(node.MembershipConfig{
-		Peers:          peers,
-		Interval:       c.cfg.Detect.Period,
-		SuspectAfter:   c.cfg.Detect.SuspectAfter,
-		DeadAfter:      c.cfg.Detect.DeadAfter,
-		PhiThreshold:   c.cfg.Detect.PhiThreshold,
-		IndirectProbes: c.cfg.Detect.IndirectProbes,
-		Seed:           seed,
-		OnEvent: func(e membership.Event) {
-			c.onMembership(observer, e)
-		},
-	})
+	mc.OnEvent = func(e membership.Event) { c.onMembership(observer, e) }
+	return n.AttachMembership(mc)
 }
 
 // onMembership handles one transition of observer's view: Dead and

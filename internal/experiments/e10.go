@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/membership"
 	"repro/internal/site"
 	"repro/internal/transport"
 )
@@ -244,7 +245,7 @@ func e10Recover(chunks, ckptEvery int) (total, resume time.Duration, jbytes, ckp
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	detect := &core.DetectConfig{Period: 5 * time.Millisecond, SuspectAfter: 40 * time.Millisecond}
+	detect := &membership.Config{ProbeInterval: 5 * time.Millisecond, SuspectAfter: 40 * time.Millisecond}
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Nodes:           2,
 		Chaos:           &transport.ChaosConfig{Seed: 10, Drop: 0.05, Dup: 0.05, Reorder: 0.1},
@@ -280,7 +281,7 @@ func e10Recover(chunks, ckptEvery int) (total, resume time.Duration, jbytes, ckp
 	cl.Crash(1)
 	before := out.lines()
 	// Let the survivor's detector report the death before restarting.
-	time.Sleep(detect.SuspectAfter + 5*detect.Period)
+	time.Sleep(detect.SuspectAfter + 5*detect.ProbeInterval)
 	// Size what the victim node (cluster index 1 = node id 2, journal
 	// scope "n2") left behind; this is exactly what recovery reads.
 	entries, err := os.ReadDir(dir)

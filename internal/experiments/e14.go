@@ -137,10 +137,10 @@ func e14DetectLatency(n int, seed uint64) (time.Duration, error) {
 		Nodes:       n,
 		Chaos:       &transport.ChaosConfig{Seed: seed},
 		Reliability: &transport.ReliableConfig{},
-		Detect: &core.DetectConfig{
-			Period:       e14Period,
-			SuspectAfter: e14SuspectAfter,
-			Seed:         seed,
+		Detect: &membership.Config{
+			ProbeInterval: e14Period,
+			SuspectAfter:  e14SuspectAfter,
+			Seed:          seed,
 		},
 		OnSuspect: func(observer uint32, e membership.Event) {
 			if e.Node != victim || (e.State != membership.StateSuspect && e.State != membership.StateDead) {
@@ -192,11 +192,11 @@ func e14FalsePositives(o Options) (firstHand, views int, err error) {
 			Jitter: 100 * time.Millisecond,
 		},
 		Reliability: &transport.ReliableConfig{},
-		Detect: &core.DetectConfig{
-			Period:       e14Period,
-			SuspectAfter: 60 * time.Millisecond,
-			DeadAfter:    5 * time.Second, // keep FP counting free of death churn
-			Seed:         o.seed(14),
+		Detect: &membership.Config{
+			ProbeInterval: e14Period,
+			SuspectAfter:  60 * time.Millisecond,
+			DeadAfter:     5 * time.Second, // keep FP counting free of death churn
+			Seed:          o.seed(14),
 		},
 		OnSuspect: func(observer uint32, e membership.Event) {
 			if e.State != membership.StateSuspect {
@@ -235,10 +235,10 @@ func e14ProbeTraffic(n int, seed uint64) (float64, error) {
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Nodes:       n,
 		Reliability: &transport.ReliableConfig{},
-		Detect: &core.DetectConfig{
-			Period:       e14Period,
-			SuspectAfter: e14SuspectAfter,
-			Seed:         seed,
+		Detect: &membership.Config{
+			ProbeInterval: e14Period,
+			SuspectAfter:  e14SuspectAfter,
+			Seed:          seed,
 		},
 	})
 	if err != nil {
@@ -268,10 +268,10 @@ func e14Drain(o Options) (time.Duration, error) {
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Nodes:       3,
 		Reliability: &transport.ReliableConfig{},
-		Detect: &core.DetectConfig{
-			Period:       e14Period,
-			SuspectAfter: e14SuspectAfter,
-			Seed:         o.seed(14),
+		Detect: &membership.Config{
+			ProbeInterval: e14Period,
+			SuspectAfter:  e14SuspectAfter,
+			Seed:          o.seed(14),
 		},
 		Journal:         journal.NewMemFactory(),
 		CheckpointEvery: 4,

@@ -103,6 +103,26 @@ type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
 
+// Protocol constants.
+const (
+	// indirectProbes is the number of peers asked to probe an
+	// unresponsive target indirectly.
+	indirectProbes = 2
+	// phiThreshold is the suspicion score that makes a peer Suspect:
+	// the silence had a 1e-8 probability.
+	phiThreshold = 8.0
+	// silenceCeiling × SuspectAfter convicts regardless of phi (a
+	// ceiling for peers whose learned jitter is large).
+	silenceCeiling = 4
+	// phiWindow is the inter-arrival window size.
+	phiWindow = 64
+	// retransmitMult scales the per-update dissemination budget: each
+	// update rides retransmitMult × ⌈log2(n+1)⌉ + 2 outgoing messages.
+	retransmitMult = 3
+	// maxPiggyback bounds updates per message.
+	maxPiggyback = 12
+)
+
 // Config configures a member agent.
 type Config struct {
 	// Self is this node's id; Peers the full expected roster (Self
@@ -114,34 +134,17 @@ type Config struct {
 	// old Dead record). 0 means 1.
 	Incarnation uint64
 	// ProbeInterval is the protocol period (default 50ms): one
-	// direct ping per period, regardless of cluster size.
+	// direct ping per period, regardless of cluster size. A direct
+	// ping unanswered for one period escalates to indirect probes.
 	ProbeInterval time.Duration
-	// ProbeTimeout is how long a direct ping may stay unanswered
-	// before indirect ping-req probes go out (default ProbeInterval).
-	ProbeTimeout time.Duration
-	// IndirectProbes is the number of peers asked to probe an
-	// unresponsive target indirectly (default 2).
-	IndirectProbes int
 	// SuspectAfter is the minimum silence before suspicion — the phi
 	// score alone never convicts faster (default 4 × ProbeInterval).
+	// Silence of silenceCeiling × SuspectAfter convicts regardless of
+	// phi.
 	SuspectAfter time.Duration
-	// MaxSilence convicts regardless of phi (a ceiling for peers
-	// whose learned jitter is large; default 4 × SuspectAfter).
-	MaxSilence time.Duration
 	// DeadAfter is how long a Suspect may stay unrefuted before it
 	// is declared Dead (default 2 × SuspectAfter).
 	DeadAfter time.Duration
-	// PhiThreshold is the suspicion score that makes a peer Suspect
-	// (default 8 — the silence had a 1e-8 probability).
-	PhiThreshold float64
-	// PhiWindow is the inter-arrival window size (default 64).
-	PhiWindow int
-	// RetransmitMult scales the per-update dissemination budget:
-	// each update rides RetransmitMult × ⌈log2(n+1)⌉ + 2 outgoing
-	// messages (default 3).
-	RetransmitMult int
-	// MaxPiggyback bounds updates per message (default 12).
-	MaxPiggyback int
 	// Seed makes probe ordering and proxy choice deterministic
 	// (default: derived from Self).
 	Seed uint64
@@ -160,32 +163,11 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 50 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
-	}
-	if c.IndirectProbes <= 0 {
-		c.IndirectProbes = 2
-	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 4 * c.ProbeInterval
 	}
-	if c.MaxSilence <= 0 {
-		c.MaxSilence = 4 * c.SuspectAfter
-	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 2 * c.SuspectAfter
-	}
-	if c.PhiThreshold <= 0 {
-		c.PhiThreshold = 8
-	}
-	if c.PhiWindow <= 0 {
-		c.PhiWindow = 64
-	}
-	if c.RetransmitMult <= 0 {
-		c.RetransmitMult = 3
-	}
-	if c.MaxPiggyback <= 0 {
-		c.MaxPiggyback = 12
 	}
 	if c.Seed == 0 {
 		c.Seed = uint64(c.Self) + 0x9e3779b97f4a7c15
@@ -286,7 +268,7 @@ func New(cfg Config) *M {
 	}
 	now := cfg.Clock.Now()
 	m.members[cfg.Self] = &member{state: StateAlive, inc: cfg.Incarnation, since: now,
-		phi: newPhiEstimator(cfg.PhiWindow, cfg.ProbeInterval, now)}
+		phi: newPhiEstimator(phiWindow, cfg.ProbeInterval, now)}
 	for _, p := range cfg.Peers {
 		if p == cfg.Self {
 			continue
@@ -295,7 +277,7 @@ func New(cfg Config) *M {
 			continue
 		}
 		m.members[p] = &member{state: StateAlive, inc: 0, since: now,
-			phi: newPhiEstimator(cfg.PhiWindow, cfg.ProbeInterval, now)}
+			phi: newPhiEstimator(phiWindow, cfg.ProbeInterval, now)}
 		m.order = append(m.order, p)
 	}
 	m.budget = m.disseminationBudget()
@@ -308,7 +290,7 @@ func New(cfg Config) *M {
 
 func (m *M) disseminationBudget() int {
 	n := len(m.members)
-	return m.cfg.RetransmitMult*bits.Len(uint(n)) + 2
+	return retransmitMult*bits.Len(uint(n)) + 2
 }
 
 // Start runs the protocol loop until Stop.
@@ -364,11 +346,11 @@ func (m *M) Tick() {
 	// Escalate unanswered direct pings through k proxies.
 	for seq, p := range m.probes {
 		age := now.Sub(p.at)
-		if age >= 3*m.cfg.ProbeInterval+m.cfg.ProbeTimeout {
+		if age >= 4*m.cfg.ProbeInterval {
 			delete(m.probes, seq)
 			continue
 		}
-		if p.indirected || age < m.cfg.ProbeTimeout {
+		if p.indirected || age < m.cfg.ProbeInterval {
 			continue
 		}
 		p.indirected = true
@@ -380,7 +362,7 @@ func (m *M) Tick() {
 
 	// Adaptive suspicion: silence must be both long enough
 	// (SuspectAfter floor) and statistically surprising (phi) —
-	// or absolute (MaxSilence ceiling).
+	// or absolute (the silenceCeiling × SuspectAfter ceiling).
 	for id, mb := range m.members {
 		if id == m.cfg.Self {
 			continue
@@ -392,7 +374,7 @@ func (m *M) Tick() {
 				continue
 			}
 			phi := mb.phi.phi(now)
-			if phi >= m.cfg.PhiThreshold || silence >= m.cfg.MaxSilence {
+			if phi >= phiThreshold || silence >= silenceCeiling*m.cfg.SuspectAfter {
 				evs = append(evs, m.transitionLocked(id, mb, StateSuspect, phi, now))
 				m.stats.Suspicions++
 				m.queueLocked(Update{Node: id, Inc: mb.inc, Stat: StateSuspect})
@@ -489,7 +471,7 @@ func (m *M) shuffleLocked() {
 	}
 }
 
-// pickProxiesLocked chooses up to IndirectProbes live peers (≠ self,
+// pickProxiesLocked chooses up to indirectProbes live peers (≠ self,
 // ≠ target) to probe the target on our behalf.
 func (m *M) pickProxiesLocked(target uint32) []uint32 {
 	var cands []uint32
@@ -508,8 +490,8 @@ func (m *M) pickProxiesLocked(target uint32) []uint32 {
 		j := int(m.rng % uint64(i+1))
 		cands[i], cands[j] = cands[j], cands[i]
 	}
-	if len(cands) > m.cfg.IndirectProbes {
-		cands = cands[:m.cfg.IndirectProbes]
+	if len(cands) > indirectProbes {
+		cands = cands[:indirectProbes]
 	}
 	return cands
 }
@@ -527,7 +509,7 @@ func (m *M) queueLocked(u Update) {
 	m.qorder = append(m.qorder, u.Node)
 }
 
-// takePiggybackLocked pops up to MaxPiggyback updates, charging each
+// takePiggybackLocked pops up to maxPiggyback updates, charging each
 // one transmission of its budget.
 func (m *M) takePiggybackLocked() []Update {
 	if len(m.qorder) == 0 {
@@ -540,7 +522,7 @@ func (m *M) takePiggybackLocked() []Update {
 		if q == nil {
 			continue
 		}
-		if len(ups) < m.cfg.MaxPiggyback {
+		if len(ups) < maxPiggyback {
 			ups = append(ups, q.u)
 			q.left--
 			m.stats.Piggybacked++
@@ -787,7 +769,7 @@ func (m *M) contactLocked(id uint32, now time.Time, evs []Event) []Event {
 	mb := m.members[id]
 	if mb == nil {
 		mb = &member{state: StateAlive, inc: 0, since: now,
-			phi: newPhiEstimator(m.cfg.PhiWindow, m.cfg.ProbeInterval, now)}
+			phi: newPhiEstimator(phiWindow, m.cfg.ProbeInterval, now)}
 		m.members[id] = mb
 		m.order = append(m.order, id)
 		return evs
@@ -830,7 +812,7 @@ func (m *M) applyUpdateLocked(u Update, now time.Time, evs []Event) []Event {
 	mb := m.members[u.Node]
 	if mb == nil {
 		mb = &member{state: u.Stat, inc: u.Inc, since: now,
-			phi: newPhiEstimator(m.cfg.PhiWindow, m.cfg.ProbeInterval, now)}
+			phi: newPhiEstimator(phiWindow, m.cfg.ProbeInterval, now)}
 		m.members[u.Node] = mb
 		m.order = append(m.order, u.Node)
 		m.budget = m.disseminationBudget()
@@ -934,9 +916,9 @@ func (m *M) AliveNodes() []uint32 {
 }
 
 // SuspectSince reports when each currently Suspect or Dead peer
-// entered suspicion — the stall detector's grace input: a wedged-
-// looking site talking to a suspect peer is the link's fault until
-// the verdict settles.
+// entered suspicion. The node's stall detector stays quiet while any
+// peer is listed: a wedged-looking site talking to a suspect peer is
+// the link's fault until the verdict settles.
 func (m *M) SuspectSince() map[uint32]time.Time {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -46,7 +46,6 @@ func newMesh(n int, tweak func(id uint32, cfg *membership.Config)) *mesh {
 			ProbeInterval: tickInterval,
 			SuspectAfter:  4 * tickInterval,
 			DeadAfter:     8 * tickInterval,
-			PhiThreshold:  8,
 			Seed:          uint64(id) * 7919,
 			Clock:         m.clk,
 			Send: func(dst uint32, payload []byte) error {

@@ -38,7 +38,7 @@ var ErrCircuitOpen = errors.New("nameservice: circuit open")
 // Breaker states, ordered by severity (exported for telemetry gauges).
 const (
 	BreakerClosed   = 0 // normal operation
-	BreakerHalfOpen = 1 // cooling down; probe calls allowed through
+	BreakerHalfOpen = 1 // cooling down; one probe call allowed through
 	BreakerOpen     = 2 // failing fast
 )
 
@@ -48,13 +48,11 @@ type BreakerConfig struct {
 	// Failures is how many consecutive tripping failures open a
 	// circuit (default 5).
 	Failures int
-	// Cooldown is how long a circuit stays open before letting probes
-	// through (default 1s).
+	// Cooldown is how long a circuit stays open before it turns
+	// half-open (default 1s). A half-open circuit admits one probe call
+	// at a time: its success closes the circuit, its failure re-opens
+	// it for another Cooldown.
 	Cooldown time.Duration
-	// HalfOpenProbes is how many concurrent probe calls the half-open
-	// state admits (default 1). One probe success closes the circuit;
-	// one failure re-opens it for another Cooldown.
-	HalfOpenProbes int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -64,9 +62,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
 	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
 	return c
 }
 
@@ -75,7 +70,7 @@ type circuit struct {
 	state     int
 	failures  int       // consecutive tripping failures while closed
 	openedAt  time.Time // when the circuit last opened
-	probes    int       // in-flight probes while half-open
+	probing   bool      // a half-open probe is in flight
 	trips     uint64    // closed→open transitions
 	fastFails uint64    // calls rejected without touching the service
 }
@@ -145,7 +140,7 @@ func (b *Breaker) FastFails() uint64 {
 func (b *Breaker) stateLocked(c *circuit) int {
 	if c.state == BreakerOpen && b.now().Sub(c.openedAt) >= b.cfg.Cooldown {
 		c.state = BreakerHalfOpen
-		c.probes = 0
+		c.probing = false
 	}
 	return c.state
 }
@@ -197,12 +192,12 @@ func (b *Breaker) gate(ctx context.Context, key string, call func() error) error
 		b.mu.Unlock()
 		return ErrCircuitOpen
 	case BreakerHalfOpen:
-		if c.probes >= b.cfg.HalfOpenProbes {
+		if c.probing {
 			c.fastFails++
 			b.mu.Unlock()
 			return ErrCircuitOpen
 		}
-		c.probes++
+		c.probing = true
 	}
 	b.mu.Unlock()
 	err := call()
@@ -217,7 +212,7 @@ func (b *Breaker) settle(c *circuit, err error) {
 	defer b.mu.Unlock()
 	switch {
 	case c.state == BreakerHalfOpen:
-		c.probes--
+		c.probing = false
 		if tripping {
 			// The probe failed: the downstream is still sick.
 			c.state = BreakerOpen

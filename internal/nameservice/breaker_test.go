@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,6 +152,58 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 	if svc.lookups() != before {
 		t.Fatal("re-opened breaker must not touch the inner service")
+	}
+}
+
+// holdingSvc is a flakySvc whose next LookupSite, once hold is set,
+// signals entered and waits for release.
+type holdingSvc struct {
+	flakySvc
+	hold             atomic.Bool
+	entered, release chan struct{}
+}
+
+func (s *holdingSvc) LookupSite(ctx context.Context, name string) (uint32, uint32, error) {
+	err := s.lookupErr()
+	if s.hold.CompareAndSwap(true, false) {
+		close(s.entered)
+		<-s.release
+	}
+	return 1, 2, err
+}
+
+// TestBreakerHalfOpenAdmitsOneProbe: while the half-open probe is in
+// flight, a concurrent call fails fast without reaching the service.
+func TestBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
+	svc := &holdingSvc{entered: make(chan struct{}), release: make(chan struct{})}
+	svc.setErr(context.DeadlineExceeded)
+	b := NewBreaker(svc, BreakerConfig{Failures: 1, Cooldown: 50 * time.Millisecond})
+	clock := time.Now()
+	b.now = func() time.Time { return clock }
+	ctx := context.Background()
+
+	b.LookupSite(ctx, "a")
+	clock = clock.Add(100 * time.Millisecond)
+	svc.setErr(nil)
+	svc.hold.Store(true)
+	probe := make(chan error, 1)
+	go func() {
+		_, _, err := b.LookupSite(ctx, "a")
+		probe <- err
+	}()
+	<-svc.entered
+	before := svc.lookups()
+	_, _, err := b.LookupSite(ctx, "a")
+	inner := svc.lookups() - before
+	close(svc.release)
+	if !errors.Is(err, ErrCircuitOpen) || inner != 0 {
+		t.Fatalf("call during the probe: err %v, %d inner lookups; want ErrCircuitOpen and 0", err, inner)
+	}
+	if err := <-probe; err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if got := b.State(); got != BreakerClosed {
+		t.Fatalf("state after good probe = %d, want closed", got)
 	}
 }
 

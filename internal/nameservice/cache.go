@@ -42,9 +42,6 @@ type CacheConfig struct {
 	TTL time.Duration
 	// NegTTL bounds a negative (expired-name) entry (default TTL/4).
 	NegTTL time.Duration
-	// MaxEntries caps each table; a full table evicts an arbitrary
-	// entry per insert (default 65536).
-	MaxEntries int
 	// Clock overrides the cache clock (tests).
 	Clock Clock
 }
@@ -55,9 +52,6 @@ func (c CacheConfig) withDefaults() CacheConfig {
 	}
 	if c.NegTTL <= 0 {
 		c.NegTTL = c.TTL / 4
-	}
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 1 << 16
 	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
@@ -290,14 +284,20 @@ func (c *Cache) invalidateSite(siteName string) {
 	}
 }
 
-// evictOne makes room in a full table by dropping an arbitrary entry
+// maxEntries caps each cache table.
+const maxEntries = 1 << 16
+
+// put stores v under k. A full table first drops an arbitrary entry
 // (Go map iteration order — effectively random, which is a fine
 // victim policy for a short-TTL cache).
-func evictOne[K comparable, V any](m map[K]V) {
-	for k := range m {
-		delete(m, k)
-		return
+func put[K comparable, V any](m map[K]V, k K, v V) {
+	if len(m) >= maxEntries {
+		for old := range m {
+			delete(m, old)
+			break
+		}
 	}
+	m[k] = v
 }
 
 // RegisterSite implements Service. The write passes through; success
@@ -395,15 +395,9 @@ func (c *Cache) LookupSite(ctx context.Context, name string) (uint32, uint32, er
 	c.store(ver, func(now time.Time) {
 		switch {
 		case err == nil:
-			if len(c.sites) >= c.cfg.MaxEntries {
-				evictOne(c.sites)
-			}
-			c.sites[name] = cachedSite{site: site, node: node, exp: now.Add(c.cfg.TTL)}
+			put(c.sites, name, cachedSite{site: site, node: node, exp: now.Add(c.cfg.TTL)})
 		case errors.Is(err, ErrNameExpired):
-			if len(c.negSites) >= c.cfg.MaxEntries {
-				evictOne(c.negSites)
-			}
-			c.negSites[name] = now.Add(c.cfg.NegTTL)
+			put(c.negSites, name, now.Add(c.cfg.NegTTL))
 		}
 	})
 	c.maybeFlush(ctx)
@@ -440,15 +434,9 @@ func (c *Cache) LookupName(ctx context.Context, siteName, id string) (vm.NetRef,
 	c.store(ver, func(now time.Time) {
 		switch {
 		case err == nil:
-			if len(c.names) >= c.cfg.MaxEntries {
-				evictOne(c.names)
-			}
-			c.names[k] = cachedName{ref: ref, sig: sig, exp: now.Add(c.cfg.TTL)}
+			put(c.names, k, cachedName{ref: ref, sig: sig, exp: now.Add(c.cfg.TTL)})
 		case errors.Is(err, ErrNameExpired):
-			if len(c.negNames) >= c.cfg.MaxEntries {
-				evictOne(c.negNames)
-			}
-			c.negNames[k] = now.Add(c.cfg.NegTTL)
+			put(c.negNames, k, now.Add(c.cfg.NegTTL))
 		}
 	})
 	c.maybeFlush(ctx)
@@ -485,15 +473,9 @@ func (c *Cache) LookupClass(ctx context.Context, siteName, class string) (vm.Net
 	c.store(ver, func(now time.Time) {
 		switch {
 		case err == nil:
-			if len(c.classes) >= c.cfg.MaxEntries {
-				evictOne(c.classes)
-			}
-			c.classes[k] = cachedClass{nc: nc, sig: sig, exp: now.Add(c.cfg.TTL)}
+			put(c.classes, k, cachedClass{nc: nc, sig: sig, exp: now.Add(c.cfg.TTL)})
 		case errors.Is(err, ErrNameExpired):
-			if len(c.negClasses) >= c.cfg.MaxEntries {
-				evictOne(c.negClasses)
-			}
-			c.negClasses[k] = now.Add(c.cfg.NegTTL)
+			put(c.negClasses, k, now.Add(c.cfg.NegTTL))
 		}
 	})
 	c.maybeFlush(ctx)

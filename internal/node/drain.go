@@ -163,44 +163,10 @@ func (n *Node) AdoptSite(siteName string, jl *site.Journal, out io.Writer, opts 
 	if _, dup := n.SiteByName(siteName); dup {
 		return nil, fmt.Errorf("node %d: site %q already running", n.cfg.ID, siteName)
 	}
-	if n.tel != nil {
-		jl.SetOnAppend(n.tel.JournalAppend)
-	} else {
-		jl.SetOnAppend(nil)
-	}
-	rec, err := site.LoadJournal(jl)
+	s, ss, err := n.restoreSite(siteName, jl, out, opts)
 	if err != nil {
 		return nil, fmt.Errorf("node %d: adopt %q: %w", n.cfg.ID, siteName, err)
 	}
-	epoch := rec.Epoch() + 1
-	if err := jl.Append(site.RecEpoch, site.EncodeEpoch(epoch)); err != nil {
-		return nil, err
-	}
-	id := rec.SiteID()
-	if out == nil {
-		out = n.cfg.Out
-	}
-	cfg := site.Config{
-		Name:            siteName,
-		ID:              id,
-		NodeID:          n.cfg.ID,
-		NS:              n.cfg.NS,
-		Router:          n,
-		Out:             out,
-		Epoch:           epoch,
-		Journal:         jl,
-		CheckpointEvery: n.cfg.CheckpointEvery,
-		LeaseRefresh:    n.cfg.LeaseRefresh,
-		CheckpointGate:  n.checkpointGate,
-		Telemetry:       n.tel,
-		Probe:           n.cfg.Introspect != nil,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	s := site.New(cfg)
-	ss := n.sched.add(s)
-	s.SetRestore(rec)
 	n.mu.Lock()
 	n.register(siteName, s, jl)
 	n.mu.Unlock()

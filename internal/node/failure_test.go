@@ -27,9 +27,9 @@ func TestNodeFailureDetection(t *testing.T) {
 
 	events := make(chan membership.Event, 64)
 	peers := []uint32{1, 2}
-	n1.AttachMembership(node.MembershipConfig{Peers: peers, Interval: 2 * time.Millisecond,
+	n1.AttachMembership(membership.Config{Peers: peers, ProbeInterval: 2 * time.Millisecond,
 		OnEvent: func(e membership.Event) { events <- e }})
-	n2.AttachMembership(node.MembershipConfig{Peers: peers, Interval: 2 * time.Millisecond})
+	n2.AttachMembership(membership.Config{Peers: peers, ProbeInterval: 2 * time.Millisecond})
 
 	// Stopping the node stops its agent too: node 2 falls silent.
 	stopped := time.Now()
@@ -70,8 +70,8 @@ func TestNodeFailureDetectorCoexistsWithControl(t *testing.T) {
 	defer n1.Stop()
 	defer n2.Stop()
 	peers := []uint32{1, 2}
-	m1 := n1.AttachMembership(node.MembershipConfig{Peers: peers, Interval: time.Millisecond})
-	n2.AttachMembership(node.MembershipConfig{Peers: peers, Interval: time.Millisecond})
+	m1 := n1.AttachMembership(membership.Config{Peers: peers, ProbeInterval: time.Millisecond})
+	n2.AttachMembership(membership.Config{Peers: peers, ProbeInterval: time.Millisecond})
 	// Node 1 has answered a ping from node 2: gossip reaches it.
 	waitFor(t, func() bool { return m1.Stats().AcksSent > 0 })
 

@@ -23,17 +23,9 @@ type StallConfig struct {
 	// Threshold is how long a site may stay wedged on one cause —
 	// imports unresolved, a fetch outstanding, or an inbox queued
 	// against a silent run loop — before the detector flags it.
-	// Default 2s.
+	// Default 2s. Reports are suppressed for as long as any peer is
+	// down or suspect.
 	Threshold time.Duration
-	// DownGrace bounds peer-down suppression. While the reliable layer
-	// has any peer marked down (the failure detector suspects it, or a
-	// partition isolates it), suspected stalls are suppressed — the
-	// wedge has a known external cause and flagging it would be a false
-	// positive. A positive DownGrace re-enables reporting once the
-	// outage has lasted that long (a peer that never recovers should
-	// not hide a wedged site forever); 0 suppresses for as long as any
-	// peer stays down.
-	DownGrace time.Duration
 }
 
 func (c StallConfig) withDefaults() StallConfig {
@@ -373,32 +365,10 @@ func (n *Node) sampleStalls(cfg StallConfig) {
 	// the reliable layer, or held in the membership agent's suspect
 	// state (not yet convicted, so possibly absent from DownPeers when
 	// no reliable layer is attached) — a wedged site has a known
-	// external cause; flagging it would be a false positive. DownGrace
-	// bounds the silence for outages that never heal, and it applies
-	// uniformly to both sources: a merely-suspect peer suppresses
-	// exactly like a convicted one until the grace expires.
-	outages := map[uint32]time.Time{}
-	if n.rel != nil {
-		for id, since := range n.rel.DownPeers() {
-			outages[id] = since
-		}
-	}
-	for id, since := range n.SuspectSince() {
-		if cur, ok := outages[id]; !ok || since.Before(cur) {
-			outages[id] = since
-		}
-	}
-	suppressed := false
-	if len(outages) > 0 {
+	// external cause; flagging it would be a false positive.
+	suppressed := n.rel != nil && len(n.rel.DownPeers()) > 0
+	if m := n.mem.Load(); m != nil && len(m.SuspectSince()) > 0 {
 		suppressed = true
-		if cfg.DownGrace > 0 {
-			for _, since := range outages {
-				if time.Since(since) >= cfg.DownGrace {
-					suppressed = false
-					break
-				}
-			}
-		}
 	}
 	// While the admission controller is shedding, a backed-up inbox or
 	// a slow fetch is the overload plane doing its job — expired frames

@@ -1,36 +1,9 @@
 package node
 
 import (
-	"time"
-
 	"repro/internal/membership"
 	"repro/internal/wire"
 )
-
-// MembershipConfig tunes the node's gossip membership agent
-// (internal/membership): the node's failure detector.
-type MembershipConfig struct {
-	// Peers is the full expected roster (self included or not).
-	Peers []uint32
-	// Interval is the protocol period: one direct ping per period
-	// regardless of cluster size (default 50ms).
-	Interval time.Duration
-	// SuspectAfter is the minimum silence before suspicion; the
-	// phi-accrual score decides within it (default 4 × Interval).
-	SuspectAfter time.Duration
-	// DeadAfter is how long an unrefuted Suspect takes to be declared
-	// Dead (default 2 × SuspectAfter).
-	DeadAfter time.Duration
-	// PhiThreshold is the suspicion score that convicts (default 8).
-	PhiThreshold float64
-	// IndirectProbes is the ping-req fanout (default 2).
-	IndirectProbes int
-	// Seed fixes the protocol's randomness for deterministic drills.
-	Seed uint64
-	// OnEvent observes every membership transition, after the node
-	// has applied it to the reliable layer.
-	OnEvent func(membership.Event)
-}
 
 // AttachMembership starts a gossip membership agent on this node and
 // wires its verdicts into the reliable delivery layer: Suspect and
@@ -42,31 +15,25 @@ type MembershipConfig struct {
 // updates additionally piggyback on outbound data batches, and every
 // received data envelope counts as proof of life — busy links keep
 // their phi windows tight without extra probes.
-func (n *Node) AttachMembership(cfg MembershipConfig) *membership.M {
-	inc := uint64(n.cfg.Epoch)
-	if inc == 0 {
-		inc = 1
+//
+// The node fills cfg's Self, Incarnation and Send, and wraps OnEvent:
+// the caller's OnEvent observes each transition after the node has
+// applied it to the reliable layer. The caller supplies Peers and the
+// timing.
+func (n *Node) AttachMembership(cfg membership.Config) *membership.M {
+	cfg.Self = n.cfg.ID
+	cfg.Incarnation = uint64(n.cfg.Epoch)
+	cfg.Send = func(dst uint32, payload []byte) error {
+		return n.SendControl(wire.FGossip, dst, payload)
 	}
-	m := membership.New(membership.Config{
-		Self:           n.cfg.ID,
-		Peers:          cfg.Peers,
-		Incarnation:    inc,
-		ProbeInterval:  cfg.Interval,
-		SuspectAfter:   cfg.SuspectAfter,
-		DeadAfter:      cfg.DeadAfter,
-		PhiThreshold:   cfg.PhiThreshold,
-		IndirectProbes: cfg.IndirectProbes,
-		Seed:           cfg.Seed,
-		Send: func(dst uint32, payload []byte) error {
-			return n.SendControl(wire.FGossip, dst, payload)
-		},
-		OnEvent: func(e membership.Event) {
-			n.applyMembership(e)
-			if cfg.OnEvent != nil {
-				cfg.OnEvent(e)
-			}
-		},
-	})
+	onEvent := cfg.OnEvent
+	cfg.OnEvent = func(e membership.Event) {
+		n.applyMembership(e)
+		if onEvent != nil {
+			onEvent(e)
+		}
+	}
+	m := membership.New(cfg)
 	// Chain FGossip ingestion onto the control handler: other control
 	// frames still reach whatever handler was installed before.
 	prev := n.control()
@@ -94,42 +61,18 @@ func (n *Node) Membership() *membership.M { return n.mem.Load() }
 // draining node must keep receiving (and forwarding) stragglers, so
 // departure must not trip the fail-fast peer-down machinery.
 func (n *Node) applyMembership(e membership.Event) {
+	if n.rel == nil {
+		return
+	}
+	wasDown := e.Prev == membership.StateSuspect || e.Prev == membership.StateDead
 	switch e.State {
 	case membership.StateSuspect, membership.StateDead:
-		n.suspectMu.Lock()
-		if n.suspectSince == nil {
-			n.suspectSince = map[uint32]time.Time{}
-		}
-		if _, ok := n.suspectSince[e.Node]; !ok {
-			n.suspectSince[e.Node] = e.At
-		}
-		n.suspectMu.Unlock()
-		if n.rel != nil && e.Prev != membership.StateSuspect && e.Prev != membership.StateDead {
+		if !wasDown {
 			n.rel.SetPeerDown(e.Node)
 		}
 	case membership.StateAlive:
-		n.suspectMu.Lock()
-		delete(n.suspectSince, e.Node)
-		n.suspectMu.Unlock()
-		if n.rel != nil && (e.Prev == membership.StateSuspect || e.Prev == membership.StateDead) {
+		if wasDown {
 			n.rel.SetPeerUp(e.Node)
 		}
 	}
-}
-
-// SuspectSince snapshots when each currently suspected (or dead) peer
-// entered suspicion, per the membership agent. The stall detector
-// merges this with the reliable layer's down map so a jittery peer in
-// the suspect-but-not-yet-dead state suppresses stall reports too.
-func (n *Node) SuspectSince() map[uint32]time.Time {
-	n.suspectMu.Lock()
-	defer n.suspectMu.Unlock()
-	if len(n.suspectSince) == 0 {
-		return nil
-	}
-	out := make(map[uint32]time.Time, len(n.suspectSince))
-	for k, v := range n.suspectSince {
-		out[k] = v
-	}
-	return out
 }

@@ -62,13 +62,9 @@ type Config struct {
 	// (transport.Reliable) between the TyCOd and the transport: frames
 	// survive lossy links, and sends to dead peers fail fast instead of
 	// queueing forever. Gossip probes bypass the layer (best-effort) —
-	// their loss IS the failure signal.
+	// their loss IS the failure signal. The node sets OnDrop, and with
+	// Journals also OnAccept and Park.
 	Reliability *transport.ReliableConfig
-	// OnDeliveryFailure is told about every frame the node gave up
-	// delivering to dst (the peer is down). Envelope content is already
-	// lost at this layer; the callback is a signal for reconfiguration,
-	// not a recovery path.
-	OnDeliveryFailure func(dst uint32, err error)
 	// Epoch is the node's incarnation number, stamped on reliable-layer
 	// packets. A supervisor restarting a crashed node bumps it so peers
 	// reset their per-sender receive state and fence the dead
@@ -167,11 +163,8 @@ type Node struct {
 	onControl atomic.Pointer[func(wire.FrameType, uint32, []byte)]
 
 	// mem is the gossip membership agent (membership.go); nil until
-	// AttachMembership. suspectSince records when each peer entered
-	// suspicion, for the stall detector's outage suppression.
-	mem          atomic.Pointer[membership.M]
-	suspectMu    sync.Mutex
-	suspectSince map[uint32]time.Time
+	// AttachMembership.
+	mem atomic.Pointer[membership.M]
 
 	// Drain state (drain.go): a draining node refuses new sites, and
 	// forwards maps evacuated site ids to their adopting node.
@@ -296,31 +289,17 @@ func New(cfg Config) *Node {
 	if cfg.Reliability != nil {
 		relCfg := *cfg.Reliability
 		relCfg.Epoch = cfg.Epoch
-		userDrop := relCfg.OnDrop
-		relCfg.OnDrop = func(dst transport.NodeID, frame []byte, err error) {
-			n.deliveryFailures.Add(1)
-			if cb := n.cfg.OnDeliveryFailure; cb != nil {
-				cb(dst, err)
-			}
-			if userDrop != nil {
-				userDrop(dst, frame, err)
-			}
-		}
+		relCfg.OnDrop = func(transport.NodeID, []byte, error) { n.deliveryFailures.Add(1) }
 		if cfg.Journals != nil {
 			// Accept-before-ack: a mobility frame is journaled in its
 			// destination site's log before the ack goes out, so "acked"
 			// implies "survives a crash". A rejected accept withholds the
 			// ack and the sender retransmits.
-			userAccept := relCfg.OnAccept
-			relCfg.OnAccept = func(src transport.NodeID, frame []byte) error {
-				if err := n.acceptFrame(src, frame); err != nil {
-					return err
-				}
-				if userAccept != nil {
-					return userAccept(src, frame)
-				}
-				return nil
-			}
+			relCfg.OnAccept = n.acceptFrame
+			// Parking is load-bearing for recovery: frames for a crashed
+			// peer must be held and re-injected once the supervisor
+			// brings it back, not dropped.
+			relCfg.Park = true
 		}
 		n.rel = transport.NewReliable(cfg.Transport, relCfg)
 		n.tr = n.rel
@@ -645,10 +624,10 @@ func (n *Node) acceptJournal(env *wire.Envelope) (*site.Journal, error) {
 }
 
 // send ships one encoded frame. A destination declared dead is not an
-// error the sender can act on: the frame is dropped (counted, with the
-// OnDeliveryFailure signal) and the site keeps running — failure-aware
-// termination accounting excludes traffic to dead nodes, so the dropped
-// message does not read as forever in flight.
+// error the sender can act on: the frame is dropped (counted) and the
+// site keeps running — failure-aware termination accounting excludes
+// traffic to dead nodes, so the dropped message does not read as
+// forever in flight.
 func (n *Node) send(dst uint32, frame []byte) error {
 	return n.sendExpiring(dst, frame, time.Time{})
 }
@@ -670,9 +649,6 @@ func (n *Node) sendExpiring(dst uint32, frame []byte, expiry time.Time) error {
 	}
 	if errors.Is(err, transport.ErrPeerDown) {
 		n.deliveryFailures.Add(1)
-		if cb := n.cfg.OnDeliveryFailure; cb != nil {
-			cb(dst, err)
-		}
 		return nil
 	}
 	return err
@@ -727,9 +703,6 @@ func (n *Node) Spawn(siteName string, prog *site.Program, out io.Writer, opts ..
 	id := n.cfg.ID<<siteIDBits | n.nextSite
 	n.mu.Unlock()
 
-	if out == nil {
-		out = n.cfg.Out
-	}
 	var jl *site.Journal
 	if n.cfg.Journals != nil {
 		st, err := n.cfg.Journals.Open(siteName)
@@ -737,30 +710,8 @@ func (n *Node) Spawn(siteName string, prog *site.Program, out io.Writer, opts ..
 			return nil, fmt.Errorf("node %d: open journal for %q: %w", n.cfg.ID, siteName, err)
 		}
 		jl = site.NewJournal(st)
-		if n.tel != nil {
-			jl.SetOnAppend(n.tel.JournalAppend)
-		}
 	}
-	cfg := site.Config{
-		Name:            siteName,
-		ID:              id,
-		NodeID:          n.cfg.ID,
-		NS:              n.cfg.NS,
-		Router:          n,
-		Out:             out,
-		Journal:         jl,
-		CheckpointEvery: n.cfg.CheckpointEvery,
-		LeaseRefresh:    n.cfg.LeaseRefresh,
-		CheckpointGate:  n.checkpointGate,
-		Telemetry:       n.tel,
-		Probe:           n.cfg.Introspect != nil,
-		OpDeadline:      n.cfg.OpDeadline,
-	}
-	n.admissionHooks(&cfg)
-	for _, o := range opts {
-		o(&cfg)
-	}
-	s := site.New(cfg)
+	s := site.New(n.siteConfig(siteName, id, 0, jl, out, opts))
 	// Scheduler registration precedes Load: Load spawns import-resolver
 	// goroutines whose deliveries must find the wake hook installed. The
 	// handle starts held, so no turn runs before start below.
@@ -856,45 +807,12 @@ func (n *Node) RecoverSite(siteName string, out io.Writer, opts ...SiteOption) (
 			return nil, err
 		}
 		jl = site.NewJournal(st)
-		if n.tel != nil {
-			jl.SetOnAppend(n.tel.JournalAppend)
-		}
 	}
-	rec, err := site.LoadJournal(jl)
+	s, ss, err := n.restoreSite(siteName, jl, out, opts)
 	if err != nil {
 		return nil, err
 	}
-	epoch := rec.Epoch() + 1
-	if err := jl.Append(site.RecEpoch, site.EncodeEpoch(epoch)); err != nil {
-		return nil, err
-	}
-	id := rec.SiteID()
-	if out == nil {
-		out = n.cfg.Out
-	}
-	cfg := site.Config{
-		Name:            siteName,
-		ID:              id,
-		NodeID:          n.cfg.ID,
-		NS:              n.cfg.NS,
-		Router:          n,
-		Out:             out,
-		Epoch:           epoch,
-		Journal:         jl,
-		CheckpointEvery: n.cfg.CheckpointEvery,
-		LeaseRefresh:    n.cfg.LeaseRefresh,
-		CheckpointGate:  n.checkpointGate,
-		Telemetry:       n.tel,
-		Probe:           n.cfg.Introspect != nil,
-		OpDeadline:      n.cfg.OpDeadline,
-	}
-	n.admissionHooks(&cfg)
-	for _, o := range opts {
-		o(&cfg)
-	}
-	s := site.New(cfg)
-	ss := n.sched.add(s)
-	s.SetRestore(rec)
+	id := s.ID()
 	n.mu.Lock()
 	if old, ok := n.byName[siteName]; ok && old.ID() != id {
 		n.dir.store(old.ID(), nil) // retire the dead incarnation
@@ -911,13 +829,61 @@ func (n *Node) RecoverSite(siteName string, out io.Writer, opts ...SiteOption) (
 	return s, nil
 }
 
-// admissionHooks wires a spawning site into the overload-protection
-// and analytics planes: sojourn samples feed the admission controller
-// and the deliver.sojourn_nanos histogram (the SLO plane's latency
-// signal), and the site answers fetches with retryable pushback while
-// the node sheds. Both observers are lock-free, so enabling telemetry
-// alone keeps the deliver path contention-free.
-func (n *Node) admissionHooks(cfg *site.Config) {
+// restoreSite builds a site that replays jl under the next epoch, for
+// RecoverSite and AdoptSite to register and start.
+func (n *Node) restoreSite(siteName string, jl *site.Journal, out io.Writer, opts []SiteOption) (*site.Site, *schedSite, error) {
+	rec, err := site.LoadJournal(jl)
+	if err != nil {
+		return nil, nil, err
+	}
+	epoch := rec.Epoch() + 1
+	// Configured before the epoch append, so the append counts toward
+	// this node's telemetry.
+	cfg := n.siteConfig(siteName, rec.SiteID(), epoch, jl, out, opts)
+	if err := jl.Append(site.RecEpoch, site.EncodeEpoch(epoch)); err != nil {
+		return nil, nil, err
+	}
+	s := site.New(cfg)
+	ss := n.sched.add(s)
+	s.SetRestore(rec)
+	return s, ss, nil
+}
+
+// siteConfig is the one site.Config every site on this node runs
+// under, whether spawned, recovered or adopted; opts apply last. It
+// points jl's append counter at this node's telemetry. Sojourn samples
+// feed the admission controller and the deliver.sojourn_nanos
+// histogram (the SLO plane's latency signal), and the site answers
+// fetches with retryable pushback while the node sheds. Both observers
+// are lock-free, so enabling telemetry alone keeps the deliver path
+// contention-free.
+func (n *Node) siteConfig(name string, id, epoch uint32, jl *site.Journal, out io.Writer, opts []SiteOption) site.Config {
+	if out == nil {
+		out = n.cfg.Out
+	}
+	if jl != nil {
+		var onAppend func(int)
+		if n.tel != nil {
+			onAppend = n.tel.JournalAppend
+		}
+		jl.SetOnAppend(onAppend)
+	}
+	cfg := site.Config{
+		Name:            name,
+		ID:              id,
+		NodeID:          n.cfg.ID,
+		NS:              n.cfg.NS,
+		Router:          n,
+		Out:             out,
+		Epoch:           epoch,
+		Journal:         jl,
+		CheckpointEvery: n.cfg.CheckpointEvery,
+		LeaseRefresh:    n.cfg.LeaseRefresh,
+		CheckpointGate:  n.checkpointGate,
+		Telemetry:       n.tel,
+		Probe:           n.cfg.Introspect != nil,
+		OpDeadline:      n.cfg.OpDeadline,
+	}
 	switch {
 	case n.adm != nil && n.tel != nil:
 		adm, tel := n.adm, n.tel
@@ -933,6 +899,10 @@ func (n *Node) admissionHooks(cfg *site.Config) {
 	if n.adm != nil {
 		cfg.Overloaded = func() bool { return n.adm.State() == admission.Shed }
 	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
 
 // SiteOption tweaks a spawned site's configuration.

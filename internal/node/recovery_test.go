@@ -15,6 +15,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // TestSupervisedSiteRestartsAfterKill kills a journaled site and checks
@@ -208,5 +209,32 @@ in export new go Fan[go]`, &testutil.Buf{})
 		if !slices.Equal(ids, []uint64{1, 2, 3, 4, 5}) {
 			t.Errorf("site %s applied sender ops %v, want 1..5", s.Name(), ids)
 		}
+	}
+}
+
+// TestJournaledNodeParksFramesForDownPeer: a journaled node parks what
+// it sends to a peer marked down, even when its reliability config
+// leaves Park unset. Recovery re-injects parked frames once the peer
+// is back; a dropped frame would be lost.
+func TestJournaledNodeParksFramesForDownPeer(t *testing.T) {
+	fabric := transport.NewFabric(transport.Ideal)
+	defer fabric.Close()
+	tr, err := fabric.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := node.New(node.Config{ID: 1, NS: nameservice.NewSharded(nameservice.ShardedConfig{}), Transport: tr,
+		Journals: journal.NewMemFactory(), Reliability: &transport.ReliableConfig{}})
+	defer n.Stop()
+	n.Reliable().SetPeerDown(2)
+	if err := n.SendControl(wire.FTerm, 2, []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		st := n.Reliable().Stats()
+		return st.Parked+st.FailFasts > 0
+	})
+	if st := n.Reliable().Stats(); st.Parked == 0 {
+		t.Fatalf("frame for the down peer was not parked: %+v", st)
 	}
 }

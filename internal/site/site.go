@@ -172,6 +172,11 @@ type Router interface {
 	RouteFetchRep(from *Site, op wire.OpRef, to Addr, rep *FetchRepDelivery) error
 }
 
+// inboxBatch bounds how many queued deliveries a turn handles between
+// VM slices. The bound keeps a burst of incoming frames (a decoded
+// batch) from starving the VM, and a busy VM from starving the queue.
+const inboxBatch = 64
+
 // Config configures a site.
 type Config struct {
 	Name   string // lexeme identifying the site in source programs
@@ -187,11 +192,6 @@ type Config struct {
 	// PollInterval is how many threads run between incoming-queue
 	// polls; 0 means 8 (the paper's "read periodically").
 	PollInterval int
-	// InboxBatch bounds how many queued deliveries are handled between
-	// VM slices; 0 means 64. The bound keeps a burst of incoming
-	// frames (a decoded batch) from starving the VM, and a busy VM
-	// from starving the queue.
-	InboxBatch int
 	// ImportTimeout bounds name-service resolution; 0 means 30s.
 	ImportTimeout time.Duration
 	// Epoch is the site's incarnation number (0 means 1). A supervised
@@ -450,9 +450,6 @@ func New(cfg Config) *Site {
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 64
-	}
-	if cfg.InboxBatch <= 0 {
-		cfg.InboxBatch = 64
 	}
 	prog := vm.NewProgram()
 	s := &Site{
@@ -872,7 +869,7 @@ func (s *Site) Turn() (res TurnResult) {
 	// per VM slice, but cannot starve the VM either.
 	got := 0
 	var d Delivery
-	for got < s.cfg.InboxBatch && s.in.pop(&d) {
+	for got < inboxBatch && s.in.pop(&d) {
 		got++
 		s.idle.Store(false)
 		if err := s.handle(d); err != nil {

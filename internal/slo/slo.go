@@ -45,10 +45,11 @@ type Config struct {
 	// burn-rate evaluation windows.
 	FastWindow time.Duration
 	SlowWindow time.Duration
-	// TrendLen bounds the retained fast-burn history per objective
-	// (default 24 — the sparkline width).
-	TrendLen int
 }
+
+// trendLen bounds the retained fast-burn history per objective (the
+// sparkline width).
+const trendLen = 24
 
 func (c Config) fast() time.Duration {
 	if c.FastWindow <= 0 {
@@ -62,13 +63,6 @@ func (c Config) slow() time.Duration {
 		return 60 * time.Second
 	}
 	return c.SlowWindow
-}
-
-func (c Config) trendLen() int {
-	if c.TrendLen <= 0 {
-		return 24
-	}
-	return c.TrendLen
 }
 
 // objKind distinguishes the two objective families.
@@ -263,8 +257,8 @@ func (t *Tracker) Evaluate(now time.Time) []telemetry.SLOVerdict {
 		v.State = stateOf(v.BurnFast, v.BurnSlow)
 		t.mu.Lock()
 		hist := append(t.trend[o.Name], v.BurnFast)
-		if n := t.cfg.trendLen(); len(hist) > n {
-			hist = hist[len(hist)-n:]
+		if len(hist) > trendLen {
+			hist = hist[len(hist)-trendLen:]
 		}
 		t.trend[o.Name] = hist
 		v.Trend = append([]float64(nil), hist...)

@@ -12,9 +12,6 @@ import (
 
 // Config tunes one node's telemetry.
 type Config struct {
-	// RecorderCap bounds the flight-recorder ring (default
-	// DefaultRecorderCap).
-	RecorderCap int
 	// Trace enables causal mobility tracing. Off by default because a
 	// trace ID is the one telemetry cost that rides the wire: every
 	// traced envelope carries a 2-3 byte varint, which E12 measures at
@@ -65,7 +62,7 @@ func New(node uint32, cfg Config) *Telemetry {
 		node:           node,
 		tracing:        cfg.Trace,
 		reg:            reg,
-		rec:            NewRecorder(cfg.RecorderCap),
+		rec:            NewRecorder(DefaultRecorderCap),
 		shipCtrl:       reg.Counter("ship.control"),
 		deliverLocal:   reg.Counter("deliver.local"),
 		deliverRemote:  reg.Counter("deliver.remote"),

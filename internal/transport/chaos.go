@@ -29,20 +29,23 @@ type ChaosConfig struct {
 	Drop float64
 	// Dup is the per-frame duplication probability in [0,1].
 	Dup float64
-	// Reorder is the probability a frame is held back so that later
-	// frames on the same link overtake it.
+	// Reorder is the probability a frame is held back so that up to
+	// reorderWindow later frames on the same link overtake it.
 	Reorder float64
-	// ReorderWindow is the maximum number of frames that may overtake
-	// a held frame (default 4).
-	ReorderWindow int
-	// ReorderHold bounds how long a held frame waits for overtakers
-	// before being flushed (default 2ms).
-	ReorderHold time.Duration
 	// Jitter adds a uniform random delivery delay in [0, Jitter) to
 	// every frame. Non-zero jitter makes cross-link ordering
 	// wall-clock dependent.
 	Jitter time.Duration
 }
+
+const (
+	// reorderWindow is the maximum number of frames that may overtake
+	// a held frame.
+	reorderWindow = 4
+	// reorderHold bounds how long a held frame waits for overtakers
+	// before being flushed.
+	reorderHold = 2 * time.Millisecond
+)
 
 // ChaosStats counts injected faults.
 type ChaosStats struct {
@@ -84,12 +87,6 @@ type chaosLink struct {
 
 // NewChaos creates a fault controller.
 func NewChaos(cfg ChaosConfig) *Chaos {
-	if cfg.ReorderWindow <= 0 {
-		cfg.ReorderWindow = 4
-	}
-	if cfg.ReorderHold <= 0 {
-		cfg.ReorderHold = 2 * time.Millisecond
-	}
 	return &Chaos{
 		cfg:   cfg,
 		links: map[[2]NodeID]*chaosLink{},
@@ -234,17 +231,17 @@ func (c *Chaos) send(inner Transport, src, dst NodeID, frame []byte) error {
 		c.dropped.Add(1)
 		return nil
 	}
-	if reorder && len(l.held) < c.cfg.ReorderWindow {
-		// Hold the frame: it will be released after ReorderWindow
+	if reorder && len(l.held) < reorderWindow {
+		// Hold the frame: it will be released after reorderWindow
 		// overtakes or when the flush timer fires.
 		l.rng = mix64(l.rng)
-		overtakes := 1 + int(l.rng%uint64(c.cfg.ReorderWindow))
+		overtakes := 1 + int(l.rng%uint64(reorderWindow))
 		l.held = append(l.held, heldFrame{dst: dst, frame: frame, remaining: overtakes})
 		c.reordered.Add(1)
 		if l.timer == nil {
-			l.timer = time.AfterFunc(c.cfg.ReorderHold, func() { c.flush(l, src) })
+			l.timer = time.AfterFunc(reorderHold, func() { c.flush(l, src) })
 		} else {
-			l.timer.Reset(c.cfg.ReorderHold)
+			l.timer.Reset(reorderHold)
 		}
 		c.mu.Unlock()
 		for _, h := range release {

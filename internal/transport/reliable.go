@@ -29,6 +29,21 @@ var ErrDeadlineExpired = errors.New("transport: frame deadline expired")
 // errClosed is returned after Close.
 var errClosed = errors.New("transport: reliable layer closed")
 
+const (
+	// ackDelay is the grace window the receive loop waits, once input
+	// goes idle, before settling ack debts with dedicated ack packets.
+	// The delay gives outbound traffic (a reply batch forming in the
+	// coalescer) a chance to piggyback the acks for free. Bounded: the
+	// window is armed when debt first accumulates, not re-armed per
+	// frame, so a trickle of inbound frames cannot defer acks past one
+	// window. Well under the default RetransmitTimeout.
+	ackDelay = time.Millisecond
+	// dedupWindow bounds the receiver's out-of-order memory per peer.
+	// When a sequence gap outlives this many later frames (its sender
+	// abandoned it), the window slides past it.
+	dedupWindow = 4096
+)
+
 // ReliableConfig tunes the reliable delivery layer.
 type ReliableConfig struct {
 	// RetransmitTimeout is the initial ack deadline (default 15ms).
@@ -41,13 +56,10 @@ type ReliableConfig struct {
 	// Window bounds the unacked frames per peer; Send blocks when the
 	// window is full (backpressure toward the sites) (default 256).
 	Window int
-	// DedupWindow bounds the receiver's out-of-order memory per peer
-	// (default 4096). When a sequence gap outlives this many later
-	// frames (its sender abandoned it), the window slides past it.
-	DedupWindow int
 	// OnDrop is invoked (from the retransmit goroutine) for every
 	// frame abandoned because its peer went down. The frame is the
-	// original payload handed to Send.
+	// original payload handed to Send. A node sets it (node.New
+	// replaces any value in its Reliability config).
 	OnDrop func(dst NodeID, frame []byte, err error)
 	// Epoch is this node incarnation's number, stamped on every data
 	// packet. A receiver seeing a higher epoch from a peer resets that
@@ -64,21 +76,13 @@ type ReliableConfig struct {
 	// are not bounded by Window; they are bounded by the computation
 	// the dead peer is no longer driving.
 	Park bool
-	// AckDelay is the grace window the receive loop waits, once input
-	// goes idle, before settling ack debts with dedicated ack packets.
-	// The delay gives outbound traffic (a reply batch forming in the
-	// coalescer) a chance to piggyback the acks for free. Bounded: the
-	// window is armed when debt first accumulates, not re-armed per
-	// frame, so a trickle of inbound frames cannot defer acks past one
-	// window. Default 1ms (well under RetransmitTimeout); negative
-	// flushes immediately.
-	AckDelay time.Duration
 	// OnAccept is called synchronously for every fresh (non-duplicate)
 	// data frame BEFORE its ack is emitted, with the unwrapped
 	// payload. The recovery journal hooks in here: once a frame is
 	// acked the sender will never retransmit it, so it must be logged
 	// first (accepted ⇒ journaled). An error suppresses both ack and
-	// delivery — the sender retransmits later.
+	// delivery — the sender retransmits later. A journaled node sets
+	// it (node.New replaces any value in its Reliability config).
 	OnAccept func(src NodeID, payload []byte) error
 	// RetryBudgetRate and RetryBudgetBurst layer a per-peer token
 	// bucket over the retransmit backoff: each retransmission spends a
@@ -233,12 +237,6 @@ func NewReliable(inner Transport, cfg ReliableConfig) *Reliable {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 256
-	}
-	if cfg.DedupWindow <= 0 {
-		cfg.DedupWindow = 4096
-	}
-	if cfg.AckDelay == 0 {
-		cfg.AckDelay = time.Millisecond
 	}
 	r := &Reliable{
 		inner:    inner,
@@ -869,12 +867,12 @@ func (r *Reliable) recvLoop() {
 			// them. The timer is armed once per debt accumulation — NOT
 			// re-armed per frame — so a trickle of inbound frames cannot
 			// defer acks past one window and trip retransmits.
-			if r.cfg.AckDelay > 0 && r.ackDebt() {
+			if r.ackDebt() {
 				if !armed {
 					if ackTimer == nil {
-						ackTimer = time.NewTimer(r.cfg.AckDelay)
+						ackTimer = time.NewTimer(ackDelay)
 					} else {
-						ackTimer.Reset(r.cfg.AckDelay)
+						ackTimer.Reset(ackDelay)
 					}
 					armed = true
 				}
@@ -976,7 +974,7 @@ func (r *Reliable) handleFrame(frame []byte) bool {
 				delete(rp.seen, rp.floor+1)
 				rp.floor++
 			}
-			if len(rp.seen) > r.cfg.DedupWindow {
+			if len(rp.seen) > dedupWindow {
 				// A gap outlived the window: its sender gave it
 				// up. Slide past the gap so memory stays bounded.
 				min := pkt.Seq

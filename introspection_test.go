@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/membership"
 	"repro/internal/nameservice"
 	"repro/internal/node"
 	"repro/internal/slo"
@@ -329,7 +330,7 @@ func TestStallDetectorSuppressedDuringPartition(t *testing.T) {
 		// Park, so the wedged fetch survives the suspicion window and
 		// flushes after Heal instead of being dropped fail-fast.
 		Reliability: &transport.ReliableConfig{Park: true},
-		Detect:      &core.DetectConfig{Period: 10 * time.Millisecond, SuspectAfter: 80 * time.Millisecond},
+		Detect:      &membership.Config{ProbeInterval: 10 * time.Millisecond, SuspectAfter: 80 * time.Millisecond},
 		Introspection: &node.IntrospectConfig{
 			Stall: node.StallConfig{Threshold: threshold, Interval: threshold / 5},
 		},

@@ -54,11 +54,11 @@ func TestMembershipFlappingLinkBoundedFalsePositives(t *testing.T) {
 		Nodes:       n,
 		Chaos:       &transport.ChaosConfig{Seed: *chaosSeed, Drop: 0.3, Dup: 0.1, Reorder: 0.2},
 		Reliability: &transport.ReliableConfig{},
-		Detect: &core.DetectConfig{
-			Period:       10 * time.Millisecond,
-			SuspectAfter: 60 * time.Millisecond,
-			DeadAfter:    500 * time.Millisecond,
-			Seed:         *chaosSeed,
+		Detect: &membership.Config{
+			ProbeInterval: 10 * time.Millisecond,
+			SuspectAfter:  60 * time.Millisecond,
+			DeadAfter:     500 * time.Millisecond,
+			Seed:          *chaosSeed,
 		},
 		OnSuspect: func(observer uint32, e membership.Event) {
 			if e.State == membership.StateSuspect {
@@ -118,11 +118,11 @@ func TestMembershipPartitionHealConvergence(t *testing.T) {
 		Nodes:       n,
 		Chaos:       &transport.ChaosConfig{Seed: *chaosSeed},
 		Reliability: &transport.ReliableConfig{},
-		Detect: &core.DetectConfig{
-			Period:       10 * time.Millisecond,
-			SuspectAfter: 60 * time.Millisecond,
-			DeadAfter:    150 * time.Millisecond,
-			Seed:         *chaosSeed,
+		Detect: &membership.Config{
+			ProbeInterval: 10 * time.Millisecond,
+			SuspectAfter:  60 * time.Millisecond,
+			DeadAfter:     150 * time.Millisecond,
+			Seed:          *chaosSeed,
 		},
 	})
 	if err != nil {
@@ -188,11 +188,11 @@ func TestMembershipChurnCrashRecover(t *testing.T) {
 		Nodes:       n,
 		Chaos:       &transport.ChaosConfig{Seed: *chaosSeed, Drop: 0.1, Dup: 0.05, Reorder: 0.1},
 		Reliability: &transport.ReliableConfig{},
-		Detect: &core.DetectConfig{
-			Period:       10 * time.Millisecond,
-			SuspectAfter: 80 * time.Millisecond,
-			DeadAfter:    200 * time.Millisecond,
-			Seed:         *chaosSeed,
+		Detect: &membership.Config{
+			ProbeInterval: 10 * time.Millisecond,
+			SuspectAfter:  80 * time.Millisecond,
+			DeadAfter:     200 * time.Millisecond,
+			Seed:          *chaosSeed,
 		},
 		// Recover rebuilds a node from journals; churn nodes run no
 		// sites, but the knob is required.
@@ -256,10 +256,10 @@ func TestDrainEvacuatesSetiExactlyOnce(t *testing.T) {
 		Chaos:       &transport.ChaosConfig{Seed: *chaosSeed, Drop: 0.05, Dup: 0.05, Reorder: 0.1},
 		Reliability: &transport.ReliableConfig{},
 		Telemetry:   &telemetry.Config{Trace: true},
-		Detect: &core.DetectConfig{
-			Period:       10 * time.Millisecond,
-			SuspectAfter: 80 * time.Millisecond,
-			Seed:         *chaosSeed,
+		Detect: &membership.Config{
+			ProbeInterval: 10 * time.Millisecond,
+			SuspectAfter:  80 * time.Millisecond,
+			Seed:          *chaosSeed,
 		},
 		Journal:         jf,
 		CheckpointEvery: 4,
