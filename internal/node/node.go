@@ -1079,16 +1079,17 @@ func (n *Node) dispatchEnvelope(env *wire.Envelope) error {
 		if m := n.mem.Load(); m != nil {
 			m.Contact(env.SrcNode)
 		}
-		if n.fwdCount.Load() != 0 {
-			if _, fwdSite, err := wire.PeekOp(env.Payload); err == nil {
-				if target, ok := n.forwardFor(fwdSite); ok {
-					return n.forwardEnvelope(env, target)
-				}
-			}
-		}
-		d, dstSite, err := site.DecodePayload(env.Type, env.SrcNode, env.Payload)
+		// Only the operation header is read here: the site decodes the
+		// body when it applies the delivery, so the payload is queued
+		// as the sub-slice of the frame it arrived in.
+		d, dstSite, err := site.PayloadDelivery(env.Type, env.SrcNode, env.Payload)
 		if err != nil {
 			return fmt.Errorf("node %d: %w", n.cfg.ID, err)
+		}
+		if n.fwdCount.Load() != 0 {
+			if target, ok := n.forwardFor(dstSite); ok {
+				return n.forwardEnvelope(env, target)
+			}
 		}
 		d.Trace = env.Trace
 		d.Deadline = env.Deadline
@@ -1148,7 +1149,8 @@ func (n *Node) toLocal(siteID uint32, d site.Delivery, t wire.FrameType, payload
 		if encoded == nil {
 			encoded = payload()
 		}
-		if d2, _, err := site.DecodePayload(t, n.cfg.ID, encoded); err == nil {
+		if d2, _, err := site.PayloadDelivery(t, n.cfg.ID, encoded); err == nil {
+			d2.Trace, d2.Deadline = d.Trace, d.Deadline
 			d = d2
 		}
 	}

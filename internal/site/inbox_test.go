@@ -1,6 +1,9 @@
 package site
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestInboxRing: the inbox is FIFO across wrap-around and across
 // growth while wrapped, zeroes what it pops, and its array doubles to
@@ -57,7 +60,7 @@ func TestInboxRing(t *testing.T) {
 		t.Fatal("pop from an empty inbox succeeded")
 	}
 	for i, slot := range q.ring {
-		if slot != (Delivery{}) {
+		if !reflect.ValueOf(slot).IsZero() {
 			t.Fatalf("drained slot %d still holds %+v", i, slot)
 		}
 	}

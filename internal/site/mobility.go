@@ -50,7 +50,7 @@ func (s *Site) addExport(chanIdx int) uint32 {
 	if chanIdx >= len(s.exp) {
 		s.exp = append(s.exp, make([]uint32, chanIdx+1-len(s.exp))...)
 	}
-	s.expRev = append(s.expRev, chanIdx)
+	s.expRev = append(s.expRev, uint32(chanIdx))
 	id := uint32(len(s.expRev))
 	s.exp[chanIdx] = id
 	return id
@@ -61,7 +61,7 @@ func (s *Site) lookupExport(heap uint32) (int, bool) {
 	s.expMu.Lock()
 	defer s.expMu.Unlock()
 	if i := heap - 1; i < uint32(len(s.expRev)) { // heap 0 wraps out of range
-		return s.expRev[i], true
+		return int(s.expRev[i]), true
 	}
 	return 0, false
 }

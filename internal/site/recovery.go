@@ -399,13 +399,18 @@ type deliveryRecord struct {
 }
 
 // encodeDelivery turns one handled delivery into a RecDelivery
-// payload. Mobility deliveries reuse the wire payload codecs;
-// Resolved uses a private format (the resolved value is post-ingress,
-// so only channel/net/net-class kinds occur). The body is encoded into
-// one scratch writer and framed into the other; the result is valid
-// until the next call (the turn's group or the store copies what it
-// keeps), so journaled deliveries cost one store copy per group.
-func (s *Site) encodeDelivery(d Delivery) ([]byte, error) {
+// payload. A payload delivery's record body is the payload it arrived
+// in. Same-node mobility deliveries reuse the wire payload codecs, so
+// replay reads every mobility record as a payload delivery; Resolved
+// uses a private format (the resolved value is post-ingress, so only
+// channel/net/net-class kinds occur). A body is encoded into one
+// scratch writer and framed into the other; the result is valid until
+// the next call (the turn's group or the store copies what it keeps),
+// so journaled deliveries cost one store copy per group.
+func (s *Site) encodeDelivery(d *Delivery) ([]byte, error) {
+	if d.Type != 0 {
+		return s.frameDelivery(d, byte(d.Type), d.Payload), nil
+	}
 	var kind byte
 	b := &s.recBody
 	b.Reset()
@@ -446,13 +451,19 @@ func (s *Site) encodeDelivery(d Delivery) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("site %s: journal: empty delivery", s.cfg.Name)
 	}
+	return s.frameDelivery(d, kind, b.Bytes()), nil
+}
+
+// frameDelivery frames a record body with the machine's context-switch
+// count and the delivery's source, into the header scratch writer.
+func (s *Site) frameDelivery(d *Delivery, kind byte, body []byte) []byte {
 	w := &s.recHdr
 	w.Reset()
 	w.U(s.m.Stats.ContextSwitches)
 	w.U(uint64(d.Src))
 	w.Byte(kind)
-	w.B(b.Bytes())
-	return w.Bytes(), nil
+	w.B(body)
+	return w.Bytes()
 }
 
 func decodeDeliveryRecord(data []byte) (*deliveryRecord, error) {
@@ -494,7 +505,7 @@ func (rec *deliveryRecord) delivery() (Delivery, error) {
 		}
 		return Delivery{Src: rec.src, Resolved: &ResolvedImport{ConstIdx: int(idx), Value: v, ClassSig: sig}}, nil
 	}
-	d, _, err := DecodePayload(wire.FrameType(rec.kind), rec.src, rec.body)
+	d, _, err := PayloadDelivery(wire.FrameType(rec.kind), rec.src, rec.body)
 	return d, err
 }
 
@@ -550,54 +561,6 @@ func decodeResolvedValue(r *wire.Reader) (vm.Value, error) {
 		return vm.NetClassVal(vm.NetClass{Name: s, Site: uint32(st), Node: uint32(nd)}), err
 	default:
 		return vm.Value{}, fmt.Errorf("site: journal: resolved value of kind %d", k)
-	}
-}
-
-// DecodePayload decodes one mobility wire payload into a Delivery,
-// returning the destination site id alongside. The node's dispatcher
-// and journal replay share it.
-func DecodePayload(t wire.FrameType, srcNode uint32, payload []byte) (Delivery, uint32, error) {
-	switch t {
-	case wire.FMsg:
-		var m wire.Msg
-		if err := wire.DecodeMsgInto(&m, payload); err != nil {
-			return Delivery{}, 0, err
-		}
-		return Delivery{Src: srcNode, Op: m.Op, Msg: &MsgDelivery{Heap: m.To.Heap, Label: m.Label, Args: m.Args}}, m.To.Site, nil
-	case wire.FObj:
-		// The code stays bytes (sub-slicing payload): the site decodes
-		// it only if it has not linked the same bytes before.
-		var o wire.Obj
-		if err := wire.DecodeObjInto(&o, payload); err != nil {
-			return Delivery{}, 0, err
-		}
-		return Delivery{Src: srcNode, Op: o.Op, Obj: &ObjDelivery{Heap: o.To.Heap, Code: o.Unit, Table: o.Table, Frame: o.Frame}}, o.To.Site, nil
-	case wire.FFetchReq:
-		f, err := wire.DecodeFetchReq(payload)
-		if err != nil {
-			return Delivery{}, 0, err
-		}
-		return Delivery{Src: srcNode, Op: f.Op, Fetch: &FetchDelivery{
-			Class: f.Class, ReqID: f.ReqID,
-			Reply: Addr{Site: f.ReplySite, Node: f.ReplyNode},
-		}}, f.OwnerSite, nil
-	case wire.FFetchRep:
-		f, err := wire.DecodeFetchRep(payload)
-		if err != nil {
-			return Delivery{}, 0, err
-		}
-		var u *asm.Unit
-		if f.Err == "" {
-			if u, err = asm.Decode(f.Unit); err != nil {
-				return Delivery{}, 0, fmt.Errorf("fetched class: %w", err)
-			}
-		}
-		return Delivery{Src: srcNode, Op: f.Op, FetchRep: &FetchRepDelivery{
-			ReqID: f.ReqID, Err: f.Err, Class: f.Class,
-			Unit: u, Group: f.Group, Index: f.Index, Captured: f.Captured,
-		}}, f.DstSite, nil
-	default:
-		return Delivery{}, 0, fmt.Errorf("site: payload of frame type %s", t)
 	}
 }
 
@@ -770,10 +733,10 @@ func (s *Site) encodeOverlay(w *vm.SnapWriter) {
 	// previous id's (reply channels are exported as they are made, so
 	// the distances are small).
 	w.U(uint64(len(s.expRev)))
-	prev := 0
+	prev := int64(0)
 	for _, c := range s.expRev {
-		w.V(int64(c - prev))
-		prev = c
+		w.V(int64(c) - prev)
+		prev = int64(c)
 	}
 	s.expMu.Unlock()
 
@@ -854,7 +817,7 @@ func (s *Site) encodeOverlay(w *vm.SnapWriter) {
 func (s *Site) decodeOverlay(r *vm.SnapReader) error {
 	s.expMu.Lock()
 	n := r.Count("exports")
-	s.exp, s.expRev = nil, make([]int, 0, n)
+	s.exp, s.expRev = nil, make([]uint32, 0, n)
 	for i, c := 0, 0; i < n; i++ {
 		c += int(r.V())
 		if c < 0 || c >= s.m.HeapSize() || (c < len(s.exp) && s.exp[c] != 0) {
@@ -1117,7 +1080,7 @@ func (s *Site) restore(l *RecoveredLog) error {
 		if err != nil {
 			return fmt.Errorf("replay record %d: %w", i, err)
 		}
-		if err := s.handle(d); err != nil {
+		if err := s.handle(&d); err != nil {
 			return fmt.Errorf("replay record %d: %w", i, err)
 		}
 	}
@@ -1134,14 +1097,14 @@ func (s *Site) restore(l *RecoveredLog) error {
 	// never retransmit them) but the dead incarnation never handled:
 	// apply through the normal path, so they are journaled and counted.
 	for _, a := range l.accepted {
-		d, _, err := DecodePayload(a.t, a.srcNode, a.payload)
+		d, _, err := PayloadDelivery(a.t, a.srcNode, a.payload)
 		if err != nil {
 			return fmt.Errorf("accepted replay: %w", err)
 		}
 		if !d.Op.IsZero() && s.appliedOp(d.Op) {
 			continue
 		}
-		if err := s.handle(d); err != nil {
+		if err := s.handle(&d); err != nil {
 			return fmt.Errorf("accepted replay: %w", err)
 		}
 	}

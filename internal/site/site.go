@@ -47,13 +47,23 @@ type Addr struct {
 }
 
 // Delivery is one item of a site's incoming queue. Exactly one field
-// group is set. Local (same-node) deliveries carry pre-decoded units
-// (the paper's shared-memory optimization); remote ones carry the wire
-// forms decoded by the TyCOd.
+// group is set. Local (same-node) deliveries carry their operation as
+// values (the paper's shared-memory optimization: nothing is
+// marshalled); remote ones carry the payload bytes they arrived in,
+// which the site decodes once, when it applies them.
 type Delivery struct {
 	// Src is the node the delivery originated on (this node for local
 	// traffic). Termination accounting keys its received counters on it.
 	Src uint32
+	// Type and Payload: a message, object, fetch request or fetch reply
+	// in its wire form (Type is FMsg, FObj, FFetchReq or FFetchRep; 0
+	// for every other delivery). The TyCOd queues what it received —
+	// Payload sub-slices the frame, which nothing writes to after the
+	// transport hands it over — and so do journal replay and the
+	// marshalling ablation. PayloadDelivery builds one. (Type sits
+	// beside Src, in the padding a uint32 leaves.)
+	Type    wire.FrameType
+	Payload []byte
 	// Trace is the mobility trace the delivery rides (telemetry
 	// fabric; 0 = untraced). The site applies the delivery under this
 	// trace, so threads it spawns inherit the causal context.
@@ -73,7 +83,7 @@ type Delivery struct {
 	// handle-time difference is the queue sojourn the admission
 	// controller watches.
 	At time.Time
-	// Msg: a remote method invocation to a local channel.
+	// Msg: a same-node method invocation to a local channel.
 	Msg *MsgDelivery
 	// Obj: a migrating object.
 	Obj *ObjDelivery
@@ -89,17 +99,19 @@ type Delivery struct {
 	Refetch *RefetchDelivery
 }
 
-// MsgDelivery is an incoming message (already σ-ingressed by Decode,
-// or built directly by a same-node sender).
+// MsgDelivery is a message from a site on the same node. Its
+// arguments are in wire form like a remote message's; the receiving
+// site σ-ingresses them when it applies the delivery.
 type MsgDelivery struct {
 	Heap  uint32 // exported heap id of the destination channel
 	Label string
 	Args  []WireVal
 }
 
-// ObjDelivery is an incoming object migration. Its code travels as
-// bytes: the receiving site decodes and links each distinct unit once
-// and reuses that placement for every later arrival of the same bytes.
+// ObjDelivery is an object migrating from a site on the same node. Its
+// code travels as bytes, as a remote object's does: the receiving site
+// decodes and links each distinct unit once and reuses that placement
+// for every later arrival of the same bytes.
 type ObjDelivery struct {
 	Heap  uint32
 	Code  []byte // the unit's canonical encoding (asm.Encode)
@@ -143,6 +155,8 @@ type RefetchDelivery struct {
 // (telemetry event labelling).
 func (d *Delivery) frameType() wire.FrameType {
 	switch {
+	case d.Type != 0:
+		return d.Type
 	case d.Msg != nil:
 		return wire.FMsg
 	case d.Obj != nil:
@@ -154,6 +168,13 @@ func (d *Delivery) frameType() wire.FrameType {
 	default:
 		return 0
 	}
+}
+
+// shipped reports whether d is a message or an object (rules SHIPM and
+// SHIPO), in either form: applying one only queues work in the machine.
+func (d *Delivery) shipped() bool {
+	t := d.frameType()
+	return t == wire.FMsg || t == wire.FObj
 }
 
 // Router is how a site hands outgoing traffic to its node's TyCOd.
@@ -277,7 +298,7 @@ type Site struct {
 	// the site goroutine only.
 	expMu        sync.Mutex
 	exp          []uint32
-	expRev       []int
+	expRev       []uint32
 	expNames     map[string]vm.Value
 	expNameSigs  map[string]string
 	expClassSigs map[string]string
@@ -335,6 +356,10 @@ type Site struct {
 	// consumed within the call that fills it (site goroutine only).
 	egress  []wire.Value
 	ingress []vm.Value
+	// body is the decode scratch of payload deliveries (payload.go),
+	// made on the first one: a site that only ever hears from its own
+	// node does not carry it.
+	body *payloadBody
 
 	// curDeadline is the deadline of the delivery currently being
 	// applied (site goroutine only): operations the apply routes out
@@ -366,9 +391,12 @@ type Site struct {
 	// (site, id) was already applied — retransmissions and recovery
 	// re-sends. StaleDrops counts operations fenced for carrying an
 	// epoch below the sender's highest seen incarnation. Checkpoints
-	// counts journal compactions.
+	// counts journal compactions. BadDrops counts payload deliveries
+	// dropped because their body did not decode (checkpoints do not
+	// keep it).
 	DupDrops    uint64
 	StaleDrops  uint64
+	BadDrops    uint64
 	Checkpoints uint64
 	// expiredDrops counts deliveries shed because their deadline had
 	// already passed when they reached the head of the queue — work
@@ -872,7 +900,7 @@ func (s *Site) Turn() (res TurnResult) {
 	for got < inboxBatch && s.in.pop(&d) {
 		got++
 		s.idle.Store(false)
-		if err := s.handle(d); err != nil {
+		if err := s.handle(&d); err != nil {
 			return s.stopWith(err)
 		}
 	}
@@ -952,13 +980,14 @@ func (s *Site) keepAlive() {
 }
 
 // handle processes one incoming-queue item on the site goroutine:
-// fence and deduplicate by operation identity, journal (write-ahead),
-// then apply. The dedup key is (site, id) ignoring the epoch — a
-// recovered sender re-ships its pre-crash operations with the same
-// ids under a higher epoch, and those must still read as duplicates.
-// Dropped operations never touch the termination counters: the
-// original acceptance already counted them.
-func (s *Site) handle(d Delivery) error {
+// fence and deduplicate by operation identity, decode a payload
+// delivery's body, journal (write-ahead), then apply. The dedup key is
+// (site, id) ignoring the epoch — a recovered sender re-ships its
+// pre-crash operations with the same ids under a higher epoch, and
+// those must still read as duplicates. Dropped operations never touch
+// the termination counters: the original acceptance already counted
+// them.
+func (s *Site) handle(d *Delivery) error {
 	if s.cfg.OnSojourn != nil && !d.At.IsZero() {
 		s.cfg.OnSojourn(time.Since(d.At))
 	}
@@ -978,8 +1007,7 @@ func (s *Site) handle(d Delivery) error {
 	if d.Resolved == nil && d.Refetch == nil {
 		s.countRecv(d.Src)
 	}
-	if (d.Msg != nil || d.Obj != nil) && d.Deadline != 0 &&
-		time.Now().UnixMicro() > int64(d.Deadline) {
+	if d.Deadline != 0 && d.shipped() && time.Now().UnixMicro() > int64(d.Deadline) {
 		// The deadline passed while the delivery queued: shed it
 		// unapplied (counted, after the termination accounting above —
 		// the sender counted it sent, so the drop must still read as
@@ -990,6 +1018,19 @@ func (s *Site) handle(d Delivery) error {
 		s.expiredDrops.Add(1)
 		s.tel.AddCounter("deadline.expired", 1)
 		return nil
+	}
+	if d.Type != 0 {
+		if s.body == nil {
+			s.body = new(payloadBody)
+		}
+		if err := s.body.decode(d.Type, d.Payload); err != nil {
+			// A malformed body drops this delivery alone, the way an
+			// expired one is shed: counted received, not journaled,
+			// not marked applied. The site keeps running.
+			s.body.reset()
+			s.BadDrops++
+			return nil
+		}
 	}
 	if s.jl != nil && !s.replaying {
 		if err := s.journalDelivery(d); err != nil {
@@ -1005,6 +1046,9 @@ func (s *Site) handle(d Delivery) error {
 	err := s.apply(d)
 	s.curDeadline = 0
 	s.m.SetAmbient(0)
+	if d.Type != 0 {
+		s.body.reset()
+	}
 	if err != nil {
 		return err
 	}
@@ -1036,8 +1080,8 @@ func (s *Site) handle(d Delivery) error {
 // before they apply — a failed resolution kills the site, and the
 // restarted incarnation should retry the lookup rather than replay the
 // failure.
-func (s *Site) journalDelivery(d Delivery) error {
-	queued := d.Msg != nil || d.Obj != nil
+func (s *Site) journalDelivery(d *Delivery) error {
+	queued := d.shipped()
 	if !queued && (d.Refetch != nil || (d.Resolved != nil && d.Resolved.Err != nil)) {
 		return s.commitStaged()
 	}
@@ -1063,43 +1107,18 @@ func (s *Site) commitStaged() error {
 	return nil
 }
 
-// apply performs one delivery's effect on the machine.
-func (s *Site) apply(d Delivery) error {
+// apply performs one delivery's effect on the machine. A payload
+// delivery's body is in s.body, decoded by handle.
+func (s *Site) apply(d *Delivery) error {
 	switch {
+	case d.Type != 0:
+		return s.applyBody(d.Type)
+
 	case d.Msg != nil:
-		local, ok := s.lookupExport(d.Msg.Heap)
-		if !ok {
-			return fmt.Errorf("site %s: message for unknown heap id %d", s.cfg.Name, d.Msg.Heap)
-		}
-		// The machine copies the arguments into the method's frame (or
-		// the channel's queue), so they pass through the scratch buffer.
-		args, err := s.ingressVals(s.ingress[:0], d.Msg.Args, nil)
-		if err != nil {
-			return err
-		}
-		err = s.m.DeliverMsg(local, s.prog.LabelIndex(d.Msg.Label), args)
-		clear(args)
-		s.ingress = args
-		return err
+		return s.applyMsg(d.Msg.Heap, s.prog.LabelIndex(d.Msg.Label), d.Msg.Args)
 
 	case d.Obj != nil:
-		local, ok := s.lookupExport(d.Obj.Heap)
-		if !ok {
-			return fmt.Errorf("site %s: object for unknown heap id %d", s.cfg.Name, d.Obj.Heap)
-		}
-		linked, err := s.linkCode(d.Obj.Code)
-		if err != nil {
-			return err
-		}
-		frame, err := s.ingressVals(nil, d.Obj.Frame, linked)
-		if err != nil {
-			return err
-		}
-		table, ok := linked.Reloc.Tables[d.Obj.Table]
-		if !ok {
-			return fmt.Errorf("site %s: migrated object references missing table %d", s.cfg.Name, d.Obj.Table)
-		}
-		return s.m.DeliverObj(local, table, frame)
+		return s.applyObj(d.Obj.Heap, d.Obj.Code, d.Obj.Table, d.Obj.Frame)
 
 	case d.Fetch != nil:
 		return s.serveFetch(d.Fetch)
@@ -1129,4 +1148,44 @@ func (s *Site) apply(d Delivery) error {
 	default:
 		return fmt.Errorf("site %s: empty delivery", s.cfg.Name)
 	}
+}
+
+// applyMsg delivers a message to the channel behind an export id.
+func (s *Site) applyMsg(heap uint32, label int, wargs []WireVal) error {
+	local, ok := s.lookupExport(heap)
+	if !ok {
+		return fmt.Errorf("site %s: message for unknown heap id %d", s.cfg.Name, heap)
+	}
+	// The machine copies the arguments into the method's frame (or the
+	// channel's queue), so they pass through the scratch buffer.
+	args, err := s.ingressVals(s.ingress[:0], wargs, nil)
+	if err != nil {
+		return err
+	}
+	err = s.m.DeliverMsg(local, label, args)
+	clear(args)
+	s.ingress = args
+	return err
+}
+
+// applyObj links a migrating object's code (once per distinct unit)
+// and delivers the object to the channel behind an export id.
+func (s *Site) applyObj(heap uint32, code []byte, table int, wframe []WireVal) error {
+	local, ok := s.lookupExport(heap)
+	if !ok {
+		return fmt.Errorf("site %s: object for unknown heap id %d", s.cfg.Name, heap)
+	}
+	linked, err := s.linkCode(code)
+	if err != nil {
+		return err
+	}
+	frame, err := s.ingressVals(nil, wframe, linked)
+	if err != nil {
+		return err
+	}
+	placed, ok := linked.Reloc.Tables[table]
+	if !ok {
+		return fmt.Errorf("site %s: migrated object references missing table %d", s.cfg.Name, table)
+	}
+	return s.m.DeliverObj(local, placed, frame)
 }

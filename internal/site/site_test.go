@@ -3,6 +3,7 @@ package site_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -374,15 +375,126 @@ func TestJournaledTurnAllocBudget(t *testing.T) {
 	}
 }
 
-func BenchmarkTurnDelivery(b *testing.B) {
-	s, heap := rpcServer(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serve(b, s, call(heap, i))
+// wireCall is call(heap, i) as the TyCOd queues it: the message's
+// payload bytes, which the site decodes when it applies them.
+func wireCall(tb testing.TB, heap uint32, i int) site.Delivery {
+	c := call(heap, i)
+	m := wire.Msg{Op: c.Op, To: vm.NetRef{Heap: heap, Site: 1, Node: 1}, Label: c.Msg.Label, Args: c.Msg.Args}
+	d, _, err := site.PayloadDelivery(wire.FMsg, c.Src, m.Encode())
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return d
+}
+
+// TestWireTurnAllocBudget is TestTurnAllocBudget and
+// TestJournaledTurnAllocBudget for a call in the form a remote node
+// queues it. The site decodes the payload into its scratch and looks
+// the label up by its bytes, and a journaled delivery's record body is
+// the payload as it arrived, so the bytes cost no more than the struct
+// form: 3 allocations, 4 with a journal.
+func TestWireTurnAllocBudget(t *testing.T) {
+	const runs = 1000
+	st, err := journal.NewMemFactory().Open("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		st     journal.Store
+		budget float64
+	}{{"plain", nil, 3}, {"journaled", st, 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, heap := journaledRPCServer(t, c.st, 10*runs) // no checkpoint inside the measurement
+			calls := make([]site.Delivery, runs+1)          // AllocsPerRun adds a warm-up call
+			for i := range calls {
+				calls[i] = wireCall(t, heap, i)
+			}
+			i := 0
+			testutil.CheckAllocs(t, c.name+" TryDeliver + Turn of a one-integer call's payload", c.budget, runs, func() {
+				serve(t, s, calls[i])
+				i++
+			})
+			if err := s.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Machine().Stats.RemoteSends; !testutil.Race && got != runs+1 {
+				t.Fatalf("%d replies sent, want %d", got, runs+1)
+			}
+		})
+	}
+}
+
+// TestPayloadFrameRetention: a queued payload delivery keeps the whole
+// frame it sub-slices alive until the site applies it, and no longer.
+// Neither the popped inbox slots nor the site's decode scratch may pin
+// a frame, so a site that served many frames holds less than one (less
+// than half of one, in fact: a single pinned frame reads as a whole).
+func TestPayloadFrameRetention(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race detector changes what the heap holds")
+	}
+	s, heap := turnSite(t, "server", `
+def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p])
+in export new p Serve[p]`, "p", site.Config{Router: &shipRouter{}})
+	const frameSize, frames = 32 << 10, 100
+	next := 0
+	round := func(frameSize int) {
+		for range frames {
+			d := wireCall(t, heap, next)
+			next++
+			frame := make([]byte, max(frameSize, len(d.Payload)))
+			d.Payload = frame[:copy(frame, d.Payload)]
+			if ok, err := s.TryDeliver(d); !ok || err != nil {
+				t.Fatalf("delivery refused: %v %v", ok, err)
+			}
+		}
+		for s.Turn() == site.TurnMore {
+		}
+	}
+	round(0) // grows the inbox ring and warms the scratch, with frames no larger than their payloads
+	// Two collections: the first drops the pooled writers' victim cache.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	round(frameSize)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
 	if err := s.Err(); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
+	}
+	if got := s.Machine().Stats.RemoteSends; got != 2*frames {
+		t.Fatalf("%d replies sent, want %d", got, 2*frames)
+	}
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d B retained after %d frames of %d B", retained, frames, frameSize)
+	if retained >= frameSize/2 { // one pinned frame reads as ≈ frameSize
+		t.Fatalf("%d B retained after %d frames: a frame is still pinned", retained, frames)
+	}
+}
+
+func BenchmarkTurnDelivery(b *testing.B) {
+	for _, leg := range []struct {
+		name string
+		make func(tb testing.TB, heap uint32, i int) site.Delivery
+	}{
+		{"struct", func(_ testing.TB, heap uint32, i int) site.Delivery { return call(heap, i) }},
+		{"payload", wireCall},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			s, heap := rpcServer(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(b, s, leg.make(b, heap, i))
+			}
+			if err := s.Err(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -49,11 +49,13 @@ type Stats struct {
 	Parks           uint64 // threads parked on unresolved imports
 }
 
-// channel is a heap entry: queued messages or queued objects (never
-// both non-empty). The queues pop with take, the run-queue with pop.
+// channel is a heap entry: one queue of waiting messages or of waiting
+// objects, never both (a message meets a waiting object, and an object
+// a waiting message), so objs says which the queue holds. The queue
+// pops with take, the run-queue with pop.
 type channel struct {
-	msgs fifo[qMsg]
-	objs fifo[qObj]
+	q    fifo[queued]
+	objs bool
 }
 
 // fifo is the queue behind the run-queue and the channel queues. It
@@ -105,20 +107,25 @@ func (f *fifo[T]) take() T {
 	return v
 }
 
-type qMsg struct {
-	label int
-	args  []Value
-	// trace is the mobility trace of the send that queued the message
+// queued is a message or an object waiting at a channel.
+type queued struct {
+	// idx is a message's label or an object's method table.
+	idx int
+	// vals is a message's arguments or an object's captured frame.
+	vals []Value
+	// trace is the mobility trace of the send that queued the item
 	// (telemetry fabric; 0 = untraced). Traces are runtime-only causal
 	// context: snapshots do not persist them, so recovered threads
 	// start fresh trace roots.
 	trace uint64
 }
 
-type qObj struct {
-	table int
-	frame []Value
-	trace uint64
+// waiting reports how many messages and how many objects wait at ch.
+func (ch *channel) waiting() (msgs, objs int) {
+	if ch.objs {
+		return 0, ch.q.len()
+	}
+	return ch.q.len(), 0
 }
 
 // Thread is a runnable activation: a block, a program counter, the
@@ -541,17 +548,18 @@ func (m *Machine) trmsg(target Value, label int, args []Value) error {
 	switch target.Kind {
 	case KChan:
 		ch := &m.heap[target.I]
-		if ch.objs.len() > 0 {
-			obj := ch.objs.take()
+		if ch.objs && ch.q.len() > 0 {
+			obj := ch.q.take()
 			// The message is the communication's cause: its trace wins;
 			// an untraced message joins the waiting object's trace.
 			trace := m.ambient
 			if trace == 0 {
 				trace = obj.trace
 			}
-			return m.reduce(obj.table, obj.frame, true, label, args, trace)
+			return m.reduce(obj.idx, obj.vals, true, label, args, trace)
 		}
-		ch.msgs.push(qMsg{label: label, args: slices.Clone(args), trace: m.ambient})
+		ch.objs = false
+		ch.q.push(queued{idx: label, vals: slices.Clone(args), trace: m.ambient})
 		m.Stats.MessagesQueued++
 		return nil
 	case KNet:
@@ -571,20 +579,21 @@ func (m *Machine) trobj(target Value, table int, frame []Value) error {
 	switch target.Kind {
 	case KChan:
 		ch := &m.heap[target.I]
-		if ch.msgs.len() > 0 {
-			msg := ch.msgs.take()
+		if !ch.objs && ch.q.len() > 0 {
+			msg := ch.q.take()
 			trace := msg.trace
 			if trace == 0 {
 				trace = m.ambient
 			}
-			return m.reduce(table, frame, false, msg.label, msg.args, trace)
+			return m.reduce(table, frame, false, msg.idx, msg.vals, trace)
 		}
 		// A queued object is consumed by exactly one message, so its
 		// frame is allocated with room for the largest method frame and
 		// becomes the method thread's frame (see reduce).
 		own := make([]Value, len(frame), m.methodFrameCap(table, len(frame)))
 		copy(own, frame)
-		ch.objs.push(qObj{table: table, frame: own, trace: m.ambient})
+		ch.objs = true
+		ch.q.push(queued{idx: table, vals: own, trace: m.ambient})
 		m.Stats.ObjectsQueued++
 		return nil
 	case KNet:
@@ -642,8 +651,7 @@ func (m *Machine) reduce(table int, free []Value, owned bool, label int, args []
 
 // PendingAt reports the queue lengths at a channel (testing aid).
 func (m *Machine) PendingAt(ch int) (msgs, objs int) {
-	c := &m.heap[ch]
-	return c.msgs.len(), c.objs.len()
+	return m.heap[ch].waiting()
 }
 
 func binop(op asm.Opcode, l, r Value) (Value, error) {

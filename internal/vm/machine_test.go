@@ -623,9 +623,10 @@ func TestAllocBudget(t *testing.T) {
 
 // TestReplyChannelRetention pins what a finished local call leaves on
 // the heap. Every call makes a reply channel that lives until the
-// machine does; the channel itself is 64 B, and the one-slot queue its
-// continuation waited in must not outlive the reply (it was another
-// 48 B per call).
+// machine does; the channel itself is 40 B (one queue and the flag
+// saying what it holds; it was 64 B as two queues), and the one-slot
+// queue its continuation waited in must not outlive the reply (it was
+// another 48 B per call).
 func TestReplyChannelRetention(t *testing.T) {
 	if testutil.Race {
 		t.Skip("the race detector changes what the heap holds")
@@ -646,8 +647,8 @@ func TestReplyChannelRetention(t *testing.T) {
 	}
 	perCall := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / calls
 	t.Logf("%d B retained per call", perCall)
-	if perCall > 72 {
-		t.Fatalf("%d B retained per call, budget 72", perCall)
+	if perCall > 48 {
+		t.Fatalf("%d B retained per call, budget 48", perCall)
 	}
 }
 

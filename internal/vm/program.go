@@ -44,6 +44,15 @@ func (p *Program) LabelIndex(s string) int {
 	return len(p.Labels) - 1
 }
 
+// LabelIndexBytes is LabelIndex for a label still in its wire bytes: a
+// label the program already knows costs a map lookup and no string.
+func (p *Program) LabelIndexBytes(b []byte) int {
+	if i, ok := p.labelIdx[string(b)]; ok {
+		return i
+	}
+	return p.LabelIndex(string(b))
+}
+
 // StringIndex interns a string program-wide.
 func (p *Program) StringIndex(s string) int {
 	if i, ok := p.strIdx[s]; ok {

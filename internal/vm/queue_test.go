@@ -35,11 +35,11 @@ func TestQueuedFrameSnapshot(t *testing.T) {
 	if msgs, _ := m.PendingAt(p); msgs != 1 {
 		t.Fatalf("%d messages wait at p, want 1", msgs)
 	}
-	waiting := m.heap[r].objs.live()
+	waiting := m.heap[r].q.live()
 	if len(waiting) != 1 {
 		t.Fatalf("%d objects wait at r, want 1", len(waiting))
 	}
-	frame := waiting[0].frame
+	frame := waiting[0].vals
 	if len(frame) != 1 || cap(frame) != 2 {
 		t.Fatalf("waiting frame has len %d cap %d, want the capture k and room for y", len(frame), cap(frame))
 	}
@@ -55,7 +55,7 @@ func TestQueuedFrameSnapshot(t *testing.T) {
 	if err := m2.DecodeSnapshot(sr); err != nil {
 		t.Fatal(err)
 	}
-	if restored := m2.heap[r].objs.live()[0].frame; len(restored) != 1 || cap(restored) != 1 {
+	if restored := m2.heap[r].q.live()[0].vals; len(restored) != 1 || cap(restored) != 1 {
 		t.Fatalf("restored frame has len %d cap %d, want the capture alone", len(restored), cap(restored))
 	}
 	w2 := NewSnapWriter()
@@ -71,7 +71,7 @@ func TestQueuedFrameSnapshot(t *testing.T) {
 		m       *Machine
 		inPlace bool
 	}{{"original", m, true}, {"restored", m2, false}} {
-		free := c.m.heap[r].objs.live()[0].frame
+		free := c.m.heap[r].q.live()[0].vals
 		if err := c.m.DeliverMsg(r, c.m.Prog.LabelIndex(calc.ValLabel), []Value{Int(6)}); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -88,7 +88,7 @@ func TestQueuedFrameSnapshot(t *testing.T) {
 		if msgs, objs := c.m.PendingAt(k); msgs != 1 || objs != 0 {
 			t.Errorf("%s: k holds %d messages and %d objects, want the reply", c.name, msgs, objs)
 		}
-		if c.m.heap[r].objs.q != nil {
+		if c.m.heap[r].q.q != nil {
 			t.Errorf("%s: the drained reply channel still holds its queue array", c.name)
 		}
 	}

@@ -343,16 +343,17 @@ func (m *Machine) EncodeSnapshot(w *SnapWriter) {
 
 	w.U(uint64(len(m.heap)))
 	for i := range m.heap {
+		// The format keeps a message count and an object count per
+		// channel; at most one of them is non-zero.
 		ch := &m.heap[i]
-		w.U(uint64(ch.msgs.len()))
-		for _, q := range ch.msgs.live() {
-			w.V(int64(q.label))
-			w.Values(q.args)
+		msgs, objs := ch.waiting()
+		w.U(uint64(msgs))
+		if !ch.objs {
+			writeQueued(w, ch.q.live())
 		}
-		w.U(uint64(ch.objs.len()))
-		for _, q := range ch.objs.live() {
-			w.V(int64(q.table))
-			w.Values(q.frame)
+		w.U(uint64(objs))
+		if ch.objs {
+			writeQueued(w, ch.q.live())
 		}
 	}
 
@@ -394,16 +395,14 @@ func (m *Machine) DecodeSnapshot(r *SnapReader) error {
 	for i := range m.heap {
 		ch := &m.heap[i]
 		if n := r.Count("msgs"); n > 0 {
-			ch.msgs.q = make([]qMsg, n)
-			for j := range ch.msgs.q {
-				ch.msgs.q[j] = qMsg{label: int(r.V()), args: r.ReadValues()}
-			}
+			ch.q.q = readQueued(r, n)
 		}
 		if n := r.Count("objs"); n > 0 {
-			ch.objs.q = make([]qObj, n)
-			for j := range ch.objs.q {
-				ch.objs.q[j] = qObj{table: int(r.V()), frame: r.ReadValues()}
+			if ch.q.len() > 0 {
+				r.fail("channel %d holds both messages and objects", i)
+				return r.Err()
 			}
+			ch.q.q, ch.objs = readQueued(r, n), true
 		}
 	}
 
@@ -423,6 +422,24 @@ func (m *Machine) DecodeSnapshot(r *SnapReader) error {
 		m.localExports[k] = r.Value()
 	}
 	return r.Err()
+}
+
+// writeQueued writes the items waiting at a channel: label or table,
+// then arguments or frame.
+func writeQueued(w *SnapWriter, items []queued) {
+	for _, q := range items {
+		w.V(int64(q.idx))
+		w.Values(q.vals)
+	}
+}
+
+// readQueued reads n items written by writeQueued.
+func readQueued(r *SnapReader, n int) []queued {
+	items := make([]queued, n)
+	for j := range items {
+		items[j] = queued{idx: int(r.V()), vals: r.ReadValues()}
+	}
+	return items
 }
 
 // encodeProgram writes the linked program area.

@@ -239,27 +239,55 @@ func DecodeMsg(data []byte) (*Msg, error) {
 	return m, nil
 }
 
-// DecodeMsgInto parses a message payload into m, which the receive
-// path keeps on its stack: the label and the argument list are the
-// only allocations.
+// DecodeMsgInto parses a message payload into m: the label and the
+// argument list are the only allocations.
 func DecodeMsgInto(m *Msg, data []byte) error {
+	var v MsgView
+	if err := v.Decode(data); err != nil {
+		return err
+	}
+	*m = Msg{Op: v.Op, To: v.To, Label: string(v.Label), Args: v.Args}
+	return nil
+}
+
+// MsgView is a message payload decoded for a receiver that consumes it
+// at once: Label sub-slices the payload, and Args reuses its array from
+// one Decode to the next. A warm view decodes a call whose arguments
+// carry no strings or classes without allocating.
+type MsgView struct {
+	Op    OpRef
+	To    vm.NetRef
+	Label []byte
+	Args  []Value
+}
+
+// Decode parses a message payload into v.
+func (v *MsgView) Decode(data []byte) error {
 	r := Reader{data: data}
 	var err error
-	if m.Op, _, err = decodeOpHdr(&r); err != nil {
+	if v.Op, _, err = decodeOpHdr(&r); err != nil {
 		return err
 	}
+	if v.To, err = decodeNetRef(&r); err != nil {
+		return err
+	}
+	if v.Label, err = r.B(); err != nil {
+		return err
+	}
+	v.Args, err = DecodeValuesInto(&r, v.Args, 0)
+	return err
+}
+
+// decodeNetRef reads the destination reference of a message or object.
+func decodeNetRef(r *Reader) (vm.NetRef, error) {
 	var to [3]uint64
 	for i := range to {
+		var err error
 		if to[i], err = r.U(); err != nil {
-			return err
+			return vm.NetRef{}, err
 		}
 	}
-	m.To = vm.NetRef{Heap: uint32(to[0]), Site: uint32(to[1]), Node: uint32(to[2])}
-	if m.Label, err = r.S(); err != nil {
-		return err
-	}
-	m.Args, err = DecodeValues(&r, 0)
-	return err
+	return vm.NetRef{Heap: uint32(to[0]), Site: uint32(to[1]), Node: uint32(to[2])}, nil
 }
 
 // Obj is a migrating object: the byte-code unit containing its method
@@ -293,29 +321,26 @@ func (o *Obj) Encode() []byte {
 	return out
 }
 
-// DecodeObjInto parses an object payload into o, which the receive
-// path keeps on its stack. o.Unit sub-slices data (no copy); the frame
-// is the only allocation.
+// DecodeObjInto parses an object payload into o. o.Unit sub-slices
+// data (no copy), and the frame reuses o.Frame's array when it has
+// room, so a receiver that keeps one Obj allocates only for string and
+// class values.
 func DecodeObjInto(o *Obj, data []byte) error {
 	r := Reader{data: data}
 	var err error
 	if o.Op, _, err = decodeOpHdr(&r); err != nil {
 		return err
 	}
-	var to [3]uint64
-	for i := range to {
-		if to[i], err = r.U(); err != nil {
-			return err
-		}
+	if o.To, err = decodeNetRef(&r); err != nil {
+		return err
 	}
-	o.To = vm.NetRef{Heap: uint32(to[0]), Site: uint32(to[1]), Node: uint32(to[2])}
 	if o.Unit, err = r.B(); err != nil {
 		return err
 	}
 	if o.Table, err = r.Index("table"); err != nil {
 		return err
 	}
-	o.Frame, err = DecodeValues(&r, 0)
+	o.Frame, err = DecodeValuesInto(&r, o.Frame, 0)
 	return err
 }
 

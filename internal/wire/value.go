@@ -341,17 +341,30 @@ func DecodeValue(r *Reader, depth int) (Value, error) {
 	return v, err
 }
 
-// DecodeValues reads a length-prefixed value list.
+// DecodeValues reads a length-prefixed value list into a fresh slice.
 func DecodeValues(r *Reader, depth int) ([]Value, error) {
+	return DecodeValuesInto(r, nil, depth)
+}
+
+// DecodeValuesInto reads a length-prefixed value list into dst's array
+// when it has room, and into a fresh slice when it has not (or dst is
+// nil). On error it returns dst emptied, so a caller's scratch array
+// survives a malformed input.
+func DecodeValuesInto(r *Reader, dst []Value, depth int) ([]Value, error) {
 	n, err := r.Count("values")
 	if err != nil {
-		return nil, err
+		return dst[:0], err
 	}
-	out := make([]Value, n)
-	for i := range out {
-		if out[i], err = DecodeValue(r, depth); err != nil {
-			return nil, err
+	if dst == nil || cap(dst) < n {
+		dst = make([]Value, n)
+	} else {
+		dst = dst[:n]
+	}
+	for i := range dst {
+		if dst[i], err = DecodeValue(r, depth); err != nil {
+			clear(dst)
+			return dst[:0], err
 		}
 	}
-	return out, nil
+	return dst, nil
 }

@@ -300,7 +300,8 @@ func msgRoundTrip(tb testing.TB, m *wire.Msg) wire.Msg {
 
 // TestMsgAllocBudget pins the wire cost of a one-integer call: the
 // detached payload on the way out; the label and the argument list on
-// the way in.
+// the way in — or nothing on the way in, decoding into a warm MsgView,
+// as a receiving site does.
 func TestMsgAllocBudget(t *testing.T) {
 	m := callMsg()
 	if got := msgRoundTrip(t, m); !reflect.DeepEqual(&got, m) {
@@ -308,6 +309,20 @@ func TestMsgAllocBudget(t *testing.T) {
 	}
 	testutil.CheckAllocs(t, "encode + decode of a one-integer call", 3, 1000, func() {
 		msgRoundTrip(t, m)
+	})
+
+	payload := m.Encode()
+	var v wire.MsgView
+	if err := v.Decode(payload); err != nil {
+		t.Fatal(err)
+	}
+	if v.Op != m.Op || v.To != m.To || string(v.Label) != m.Label || !reflect.DeepEqual(v.Args, m.Args) {
+		t.Fatalf("view decode: got %+v, want %+v", v, *m)
+	}
+	testutil.CheckAllocs(t, "decode of a one-integer call into a warm view", 0, 1000, func() {
+		if err := v.Decode(payload); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
