@@ -21,6 +21,11 @@ import (
 // reliable layer on. Every chunk must be processed exactly once: a
 // missing chunk means a batch died with its envelopes, a doubled one
 // means dedup happened per frame instead of per envelope.
+//
+// A one-frame send window holds each flusher in Send until its last
+// frame is acked, so the envelopes queued meanwhile must leave
+// together: coalescing no longer depends on the flusher losing a race
+// with the producers.
 func TestBatchedChaosExactlyOnce(t *testing.T) {
 	const siteCount = 4
 	const perSite = 12
@@ -29,7 +34,7 @@ func TestBatchedChaosExactlyOnce(t *testing.T) {
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Nodes:       2,
 		Chaos:       &transport.ChaosConfig{Seed: *chaosSeed, Drop: 0.15, Dup: 0.1, Reorder: 0.2},
-		Reliability: &transport.ReliableConfig{},
+		Reliability: &transport.ReliableConfig{Window: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +76,7 @@ func TestBatchedChaosExactlyOnce(t *testing.T) {
 		dataSent += s.DataSent
 		retransmits += s.Retransmits
 	}
+	t.Logf("%d data frames for %d envelopes, %d retransmits", dataSent, 2*total, retransmits)
 	if retransmits == 0 {
 		t.Error("no retransmissions recorded — chaos was not in the path")
 	}

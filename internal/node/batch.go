@@ -17,8 +17,13 @@ type BatchConfig struct {
 	// own frame immediately and synchronously (the ablation baseline
 	// for E11).
 	Disable bool
-	// MaxBytes flushes a peer's batch when it reaches this size
-	// (default 32KB).
+	// MaxBytes caps a peer's frame, with the headroom the reliable
+	// layer writes its header into (default 32KB): the flusher cuts the
+	// frame before an entry that would cross it, mid-drain, so only a
+	// single oversized entry (or a piggybacked gossip entry) makes a
+	// larger one. The default keeps each frame in Go's largest small
+	// size class; one byte more is a large object, rounded up to whole
+	// 8 KiB pages.
 	MaxBytes int
 	// MaxDelay bounds how long a coalesced envelope may wait for
 	// company before the flusher ships it (default 200µs). Sites flush
@@ -274,13 +279,15 @@ func (c *coalescer) sendSync(dst uint32, t wire.FrameType, trace, deadline uint6
 	if deadline != 0 {
 		expiry = time.UnixMicro(int64(deadline))
 	}
-	frame := bb.TakeFrame()
+	frame := bb.TakeFramed()
 	c.syncMu.Unlock()
 	return c.n.sendExpiring(dst, frame, expiry)
 }
 
 // loop is a peer's flusher: it drains the ring into a BatchBuilder and
-// ships the frame on size, deadline, flush request, or shutdown.
+// ships the frame on size (checked at every entry, so a deep ring
+// leaves as a run of MaxBytes frames), deadline, flush request, or
+// shutdown.
 func (p *peerRing) loop() {
 	c := p.c
 	defer c.wg.Done()
@@ -307,7 +314,7 @@ func (p *peerRing) loop() {
 		if !undeadlined && maxExpiry != 0 {
 			expiry = time.UnixMicro(int64(maxExpiry))
 		}
-		frame := bb.TakeFrame()
+		frame := bb.TakeFramed()
 		maxExpiry, undeadlined = 0, false
 		// Transmission failures here are loss, which the reliable layer
 		// (when on) recovers; there is no site on this path to surface
@@ -340,6 +347,9 @@ func (p *peerRing) loop() {
 		batch = p.take(batch)
 		wantFlush := p.flushReq.Swap(false)
 		batch.payloads(func(m *outMsg, payload []byte) {
+			if bb.Count() > 0 && !bb.Fits(len(payload), c.cfg.MaxBytes) {
+				flushNow()
+			}
 			w := bb.BeginEntry(m.t, c.n.cfg.ID, p.dst, m.trace, m.deadline)
 			w.Raw(payload)
 			bb.EndEntry()
@@ -351,6 +361,9 @@ func (p *peerRing) loop() {
 			}
 			if m.flush {
 				wantFlush = true
+			}
+			if !bb.Fits(0, c.cfg.MaxBytes) {
+				flushNow() // full, or one oversized entry
 			}
 		})
 		if stop {
@@ -377,7 +390,7 @@ func (p *peerRing) loop() {
 			}
 			return
 		}
-		if wantFlush || bb.Len() >= c.cfg.MaxBytes {
+		if wantFlush {
 			flushNow()
 			if armed && !timer.Stop() {
 				select {

@@ -633,15 +633,18 @@ func (n *Node) send(dst uint32, frame []byte) error {
 }
 
 // sendExpiring ships one encoded frame with an optional transport
-// expiry (zero = none). An already-expired frame rejected by the
-// reliable layer is deliberate shedding, already accounted by its
-// Expired counter and OnDrop signal — not an error the routing site
-// can act on.
+// expiry (zero = none). The frame may come with headroom
+// (wire.BatchBuilder.TakeFramed): the reliable layer writes its header
+// there, and any other transport gets the frame without it. An
+// already-expired frame rejected by the reliable layer is deliberate
+// shedding, already accounted by its Expired counter and OnDrop signal
+// — not an error the routing site can act on.
 func (n *Node) sendExpiring(dst uint32, frame []byte, expiry time.Time) error {
 	var err error
-	if n.rel != nil && !expiry.IsZero() {
+	if n.rel != nil {
 		err = n.rel.SendWithDeadline(dst, frame, expiry)
 	} else {
+		frame, _ = wire.SplitHeadroom(frame)
 		err = n.tr.Send(dst, frame)
 	}
 	if errors.Is(err, transport.ErrDeadlineExpired) {

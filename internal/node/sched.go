@@ -81,10 +81,10 @@ type worker struct {
 
 	mu   sync.Mutex
 	lifo *schedSite // hottest site (dirty re-queue); taken before dq
-	dq   []*schedSite
+	dq   siteDeque
 
 	rng    uint64
-	depth  atomic.Int64  // len(dq) + lifo slot, for lock-free peeking
+	depth  atomic.Int64  // dq.n + lifo slot, for lock-free peeking
 	steals atomic.Uint64 // successful steal batches by this worker
 }
 
@@ -194,7 +194,7 @@ func (sch *scheduler) push(ss *schedSite, w *worker) {
 	if w == tw && tw.lifo == nil {
 		tw.lifo = ss
 	} else {
-		tw.dq = append(tw.dq, ss)
+		tw.dq.pushNewest(ss)
 	}
 	tw.depth.Add(1)
 	tw.mu.Unlock()
@@ -347,10 +347,7 @@ func (w *worker) pop() *schedSite {
 		w.depth.Add(-1)
 		return ss
 	}
-	if n := len(w.dq); n > 0 {
-		ss := w.dq[n-1]
-		w.dq[n-1] = nil
-		w.dq = w.dq[:n-1]
+	if ss := w.dq.popNewest(); ss != nil {
 		w.depth.Add(-1)
 		return ss
 	}
@@ -379,7 +376,9 @@ func (w *worker) steal() *schedSite {
 		ss := batch[0]
 		if rest := batch[1:]; len(rest) > 0 {
 			w.mu.Lock()
-			w.dq = append(w.dq, rest...)
+			for _, ss := range rest {
+				w.dq.pushNewest(ss)
+			}
 			w.depth.Add(int64(len(rest)))
 			w.mu.Unlock()
 		}
@@ -393,18 +392,15 @@ func (w *worker) steal() *schedSite {
 func (w *worker) stealFrom(v *worker) []*schedSite {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if n := len(v.dq); n > 0 {
+	if n := v.dq.n; n > 0 {
 		k := (n + 1) / 2
 		if w.id < 0 { // spare: single site, no deque to hold more
 			k = 1
 		}
 		batch := make([]*schedSite, k)
-		copy(batch, v.dq[:k])
-		rest := copy(v.dq, v.dq[k:])
-		for i := rest; i < n; i++ {
-			v.dq[i] = nil
+		for i := range batch {
+			batch[i] = v.dq.popOldest()
 		}
-		v.dq = v.dq[:rest]
 		v.depth.Add(-int64(k))
 		return batch
 	}
@@ -462,7 +458,7 @@ func (w *worker) requeue(ss *schedSite) {
 	}
 	if tw != nil {
 		tw.mu.Lock()
-		tw.dq = append([]*schedSite{ss}, tw.dq...)
+		tw.dq.pushOldest(ss)
 		tw.depth.Add(1)
 		tw.mu.Unlock()
 		if w.sch.parked.Load() > 0 {
@@ -489,4 +485,62 @@ func (w *worker) idle(ss *schedSite, yield bool) {
 	// runningDirty: fresh input arrived mid-turn.
 	ss.state.Store(siteQueued)
 	w.sch.push(ss, w)
+}
+
+// siteDeque is a worker's queue of ready sites: a ring that doubles
+// when full and never shrinks, so in steady state no push allocates.
+// The owner pushes and pops at the newest end; requeue inserts, and
+// thieves take, at the oldest. A popped slot is cleared, so the ring
+// keeps no site alive that it no longer queues.
+type siteDeque struct {
+	ring []*schedSite // nil, or a power-of-two length
+	head int          // index of the oldest entry
+	n    int
+}
+
+func (d *siteDeque) grow() {
+	ring := make([]*schedSite, max(2*len(d.ring), 8))
+	for i := 0; i < d.n; i++ {
+		ring[i] = d.ring[(d.head+i)&(len(d.ring)-1)]
+	}
+	d.ring, d.head = ring, 0
+}
+
+func (d *siteDeque) pushNewest(ss *schedSite) {
+	if d.n == len(d.ring) {
+		d.grow()
+	}
+	d.ring[(d.head+d.n)&(len(d.ring)-1)] = ss
+	d.n++
+}
+
+func (d *siteDeque) pushOldest(ss *schedSite) {
+	if d.n == len(d.ring) {
+		d.grow()
+	}
+	d.head = (d.head - 1) & (len(d.ring) - 1)
+	d.ring[d.head] = ss
+	d.n++
+}
+
+func (d *siteDeque) popNewest() *schedSite {
+	if d.n == 0 {
+		return nil
+	}
+	d.n--
+	i := (d.head + d.n) & (len(d.ring) - 1)
+	ss := d.ring[i]
+	d.ring[i] = nil
+	return ss
+}
+
+func (d *siteDeque) popOldest() *schedSite {
+	if d.n == 0 {
+		return nil
+	}
+	ss := d.ring[d.head]
+	d.ring[d.head] = nil
+	d.head = (d.head + 1) & (len(d.ring) - 1)
+	d.n--
+	return ss
 }

@@ -427,9 +427,12 @@ func TestWireTurnAllocBudget(t *testing.T) {
 
 // TestPayloadFrameRetention: a queued payload delivery keeps the whole
 // frame it sub-slices alive until the site applies it, and no longer.
-// Neither the popped inbox slots nor the site's decode scratch may pin
-// a frame, so a site that served many frames holds less than one (less
-// than half of one, in fact: a single pinned frame reads as a whole).
+// A full inbox of deliveries, each from its own frame at the
+// coalescer's default MaxBytes, pins InboxCap such frames and nothing
+// more: the per-site bound DESIGN.md §15 states. Neither the
+// popped inbox slots nor the site's decode scratch may pin a frame, so
+// once drained the site holds less than one (less than half of one, in
+// fact: a single pinned frame reads as a whole).
 func TestPayloadFrameRetention(t *testing.T) {
 	if testutil.Race {
 		t.Skip("the race detector changes what the heap holds")
@@ -437,10 +440,10 @@ func TestPayloadFrameRetention(t *testing.T) {
 	s, heap := turnSite(t, "server", `
 def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p])
 in export new p Serve[p]`, "p", site.Config{Router: &shipRouter{}})
-	const frameSize, frames = 32 << 10, 100
+	const frameSize = 32 << 10 // the default MaxBytes, headroom included
 	next := 0
-	round := func(frameSize int) {
-		for range frames {
+	fill := func(frameSize int) {
+		for range site.InboxCap {
 			d := wireCall(t, heap, next)
 			next++
 			frame := make([]byte, max(frameSize, len(d.Payload)))
@@ -449,30 +452,40 @@ in export new p Serve[p]`, "p", site.Config{Router: &shipRouter{}})
 				t.Fatalf("delivery refused: %v %v", ok, err)
 			}
 		}
+	}
+	drain := func() {
 		for s.Turn() == site.TurnMore {
 		}
 	}
-	round(0) // grows the inbox ring and warms the scratch, with frames no larger than their payloads
-	// Two collections: the first drops the pooled writers' victim cache.
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	round(frameSize)
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	heapNow := func() int64 {
+		// Two collections: the first drops the pooled writers' victim cache.
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	fill(0) // grows the inbox ring and warms the scratch, with frames no larger than their payloads
+	drain()
+	before := heapNow()
+	fill(frameSize)
+	full := heapNow() - before
+	drain()
+	retained := heapNow() - before
 	runtime.KeepAlive(s)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Machine().Stats.RemoteSends; got != 2*frames {
-		t.Fatalf("%d replies sent, want %d", got, 2*frames)
+	if got := s.Machine().Stats.RemoteSends; got != 2*site.InboxCap {
+		t.Fatalf("%d replies sent, want %d", got, 2*site.InboxCap)
 	}
-	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("%d B retained after %d frames of %d B", retained, frames, frameSize)
+	bound := int64(site.InboxCap * frameSize)
+	t.Logf("full inbox pins %d B (bound %d B); %d B retained once drained", full, bound, retained)
+	if full < bound*9/10 || full > bound+bound/20 {
+		t.Fatalf("a full inbox of %d deliveries pins %d B, want about %d: each queued delivery pins its frame, and nothing more", site.InboxCap, full, bound)
+	}
 	if retained >= frameSize/2 { // one pinned frame reads as ≈ frameSize
-		t.Fatalf("%d B retained after %d frames: a frame is still pinned", retained, frames)
+		t.Fatalf("%d B retained after %d frames: a frame is still pinned", retained, site.InboxCap)
 	}
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,6 +43,12 @@ const (
 	// When a sequence gap outlives this many later frames (its sender
 	// abandoned it), the window slides past it.
 	dedupWindow = 4096
+	// deliverQueue bounds the delivered frames waiting for the consumer
+	// (the node's TyCOd): the Recv channel holds deliverQueue-1 and the
+	// receive loop's offer slot one more. A data packet read while the
+	// queue is full is held unaccepted and unacked, so the senders'
+	// windows, not this queue, absorb a slow consumer (see recvLoop).
+	deliverQueue = 64
 )
 
 // ReliableConfig tunes the reliable delivery layer.
@@ -116,6 +123,13 @@ type ReliableStats struct {
 	// retry-budget bucket (the frame stays in the window and retries
 	// when tokens refill).
 	BudgetDeferred uint64
+	// Held counts data packets the receive loop read while the
+	// delivered queue was full and held back from acceptance.
+	Held uint64
+	// FullAcks counts dedicated ack packets applied while the delivered
+	// queue was full: the receive loop keeps the node's own send
+	// windows moving even when its consumer lags.
+	FullAcks uint64
 }
 
 // Reliable layers ack/retransmit delivery on top of any Transport: the
@@ -144,6 +158,12 @@ type Reliable struct {
 	dirMu sync.RWMutex
 	sends map[NodeID]*sendPeer
 	rcvs  map[NodeID]*recvPeer
+	// rcvList mirrors rcvs in creation order. Only the receive loop
+	// adds to it (recvPeerFor) and reads it (ackDebt, flushAcks), so
+	// those scans take no lock and copy nothing.
+	rcvList []rcvEntry
+	// ackSel is the receive loop's selective-ack scratch for flushAcks.
+	ackSel []uint64
 
 	// rng feeds backoff jitter; only the retransmit goroutine steps it.
 	rng    uint64
@@ -166,6 +186,13 @@ type Reliable struct {
 	staleDrops  atomic.Uint64
 	expired     atomic.Uint64
 	budgetDefer atomic.Uint64
+	held        atomic.Uint64
+	fullAcks    atomic.Uint64
+}
+
+type rcvEntry struct {
+	id NodeID
+	rp *recvPeer
 }
 
 var _ Transport = (*Reliable)(nil)
@@ -182,6 +209,11 @@ type sendPeer struct {
 	space     *sync.Cond // on mu; signaled when window space frees or state flips
 	// budget token-gates this peer's retransmissions (nil = unlimited).
 	budget *backoff.Budget
+	// free recycles the records of acked frames, so a send in steady
+	// state allocates none; sel is the piggyback selective-ack scratch.
+	// Both are used under mu only.
+	free []*unacked
+	sel  []uint64
 }
 
 type unacked struct {
@@ -241,7 +273,7 @@ func NewReliable(inner Transport, cfg ReliableConfig) *Reliable {
 	r := &Reliable{
 		inner:    inner,
 		cfg:      cfg,
-		recv:     make(chan []byte, 4096),
+		recv:     make(chan []byte, deliverQueue-1),
 		sends:    map[NodeID]*sendPeer{},
 		rcvs:     map[NodeID]*recvPeer{},
 		rng:      mix64(uint64(inner.Self()) + 1),
@@ -276,6 +308,8 @@ func (r *Reliable) Stats() ReliableStats {
 		StaleDrops:     r.staleDrops.Load(),
 		Expired:        r.expired.Load(),
 		BudgetDeferred: r.budgetDefer.Load(),
+		Held:           r.held.Load(),
+		FullAcks:       r.fullAcks.Load(),
 	}
 }
 
@@ -328,8 +362,10 @@ func (r *Reliable) WindowOccupancy() float64 {
 // telemetry fabric samples it as a gauge. A steadily high debt means
 // the ack-delay grace window never finds a piggyback ride.
 func (r *Reliable) AckDebt() int {
+	r.dirMu.RLock()
+	defer r.dirMu.RUnlock()
 	n := 0
-	for _, rp := range r.recvSnapshot() {
+	for _, rp := range r.rcvs {
 		rp.mu.Lock()
 		if rp.ackDirty {
 			n += rp.ackFresh
@@ -337,17 +373,6 @@ func (r *Reliable) AckDebt() int {
 		rp.mu.Unlock()
 	}
 	return n
-}
-
-// recvSnapshot copies the recv-peer directory under the read lock.
-func (r *Reliable) recvSnapshot() map[NodeID]*recvPeer {
-	r.dirMu.RLock()
-	defer r.dirMu.RUnlock()
-	out := make(map[NodeID]*recvPeer, len(r.rcvs))
-	for id, rp := range r.rcvs {
-		out[id] = rp
-	}
-	return out
 }
 
 // sendPeerFor returns dst's send-side state, creating it on first use.
@@ -387,12 +412,17 @@ func (r *Reliable) recvPeerFor(src NodeID, epoch uint32) *recvPeer {
 	}
 	rp = &recvPeer{epoch: epoch, seen: map[uint64]bool{}}
 	r.rcvs[src] = rp
+	r.rcvList = append(r.rcvList, rcvEntry{id: src, rp: rp})
 	return rp
 }
 
 // Send transmits a frame with delivery tracking: it is retransmitted
 // until acked or the peer is declared down. Blocks while the in-flight
 // window is full; fails fast with ErrPeerDown for suspected peers.
+//
+// A buffer from wire.BatchBuilder.TakeFramed is sent without a copy:
+// the packet header goes into its headroom, and the layer owns the
+// buffer from then on. Any other frame is copied behind a fresh header.
 func (r *Reliable) Send(dst NodeID, frame []byte) error {
 	return r.SendWithDeadline(dst, frame, time.Time{})
 }
@@ -403,7 +433,8 @@ func (r *Reliable) Send(dst NodeID, frame []byte) error {
 // retransmitted forever. An already-expired frame is rejected here,
 // before it claims window space or a sequence number. The zero expiry
 // means no deadline.
-func (r *Reliable) SendWithDeadline(dst NodeID, frame []byte, expiry time.Time) error {
+func (r *Reliable) SendWithDeadline(dst NodeID, buf []byte, expiry time.Time) error {
+	frame, room := wire.SplitHeadroom(buf)
 	if !expiry.IsZero() && !expiry.After(time.Now()) {
 		r.expired.Add(1)
 		if r.cfg.OnDrop != nil {
@@ -426,14 +457,21 @@ func (r *Reliable) SendWithDeadline(dst NodeID, frame []byte, expiry time.Time) 
 		return ErrPeerDown
 	}
 	p.nextSeq++
-	out := wire.Packet{Type: wire.FData, Src: r.Self(), Epoch: r.cfg.Epoch, Seq: p.nextSeq, Payload: frame}
+	out := wire.Packet{Type: wire.FData, Src: r.Self(), Epoch: r.cfg.Epoch, Seq: p.nextSeq}
 	// Piggyback locks the recv side while the send side is held —
 	// the one place both shards meet (lock order sendPeer → recvPeer).
-	if r.piggyback(dst, &out) {
+	if r.piggyback(dst, &out, p.sel[:0]) {
 		r.ackPiggy.Add(1)
+		p.sel = out.AckSeqs
 	}
-	pkt := out.Encode()
-	u := &unacked{
+	pkt := out.EncodeIn(buf, room)
+	var u *unacked
+	if n := len(p.free); n > 0 {
+		u, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		u = new(unacked)
+	}
+	*u = unacked{
 		seq:      p.nextSeq,
 		packet:   pkt,
 		payload:  frame,
@@ -466,7 +504,7 @@ func (r *Reliable) SendBestEffort(dst NodeID, frame []byte) error {
 		return errClosed
 	}
 	out := wire.Packet{Type: wire.FRaw, Src: r.Self(), Epoch: r.cfg.Epoch, Payload: frame}
-	if r.piggyback(dst, &out) {
+	if r.piggyback(dst, &out, nil) {
 		r.ackPiggy.Add(1)
 	}
 	r.rawSent.Add(1)
@@ -475,8 +513,9 @@ func (r *Reliable) SendBestEffort(dst NodeID, frame []byte) error {
 
 // piggyback folds any ack owed to dst into an outbound packet,
 // settling the debt: a batch of N inbound data frames answered by one
-// outbound packet costs zero dedicated ack frames.
-func (r *Reliable) piggyback(dst NodeID, out *wire.Packet) bool {
+// outbound packet costs zero dedicated ack frames. The selective acks
+// are appended to sel.
+func (r *Reliable) piggyback(dst NodeID, out *wire.Packet, sel []uint64) bool {
 	r.dirMu.RLock()
 	rp, ok := r.rcvs[dst]
 	r.dirMu.RUnlock()
@@ -490,24 +529,20 @@ func (r *Reliable) piggyback(dst NodeID, out *wire.Packet) bool {
 	}
 	out.AckEpoch = rp.epoch
 	out.AckFloor = rp.floor
-	out.AckSeqs = selAcksLocked(rp)
+	out.AckSeqs = selAcksLocked(rp, sel)
 	rp.ackDirty = false
 	rp.ackFresh = 0
 	return true
 }
 
-// selAcksLocked snapshots the delivered-above-floor seqs, ascending,
-// capped at maxSelAcks (the lowest ones: oldest in the sender's
-// window). Uncovered seqs remain in seen and ride a later ack.
-func selAcksLocked(rp *recvPeer) []uint64 {
-	if len(rp.seen) == 0 {
-		return nil
-	}
-	sel := make([]uint64, 0, len(rp.seen))
+// selAcksLocked appends the delivered-above-floor seqs to sel,
+// ascending, capped at maxSelAcks (the lowest ones: oldest in the
+// sender's window). Uncovered seqs remain in seen and ride a later ack.
+func selAcksLocked(rp *recvPeer, sel []uint64) []uint64 {
 	for s := range rp.seen {
 		sel = append(sel, s)
 	}
-	sort.Slice(sel, func(i, j int) bool { return sel[i] < sel[j] })
+	slices.Sort(sel)
 	if len(sel) > maxSelAcks {
 		sel = sel[:maxSelAcks]
 	}
@@ -533,16 +568,18 @@ func (r *Reliable) applyAck(src NodeID, ackEpoch uint32, floor uint64, sel []uin
 	cleared := 0
 	p.mu.Lock()
 	if floor > 0 {
-		for seq := range p.inflight {
+		for seq, u := range p.inflight {
 			if seq <= floor {
 				delete(p.inflight, seq)
+				r.recycleLocked(p, u)
 				cleared++
 			}
 		}
 	}
 	for _, s := range sel {
-		if _, inflight := p.inflight[s]; inflight {
+		if u, inflight := p.inflight[s]; inflight {
 			delete(p.inflight, s)
+			r.recycleLocked(p, u)
 			cleared++
 		}
 	}
@@ -555,18 +592,24 @@ func (r *Reliable) applyAck(src NodeID, ackEpoch uint32, floor uint64, sel []uin
 	}
 }
 
+// recycleLocked (p.mu held) keeps an acked frame's record for the
+// next Send. Only acked frames come here: a dropped or expired one is
+// still read by OnDrop after the lock is released.
+func (r *Reliable) recycleLocked(p *sendPeer, u *unacked) {
+	if len(p.free) < r.cfg.Window {
+		*u = unacked{}
+		p.free = append(p.free, u)
+	}
+}
+
 // flushAcks emits one dedicated cumulative-ack packet per peer owed
 // one. The recv loop calls it whenever the input stream goes
 // momentarily idle — the end of a burst — so N data frames normally
 // cost a single ack frame (or none, if reverse traffic already
-// piggybacked the state).
+// piggybacked the state). Receive loop only.
 func (r *Reliable) flushAcks() {
-	type owed struct {
-		dst NodeID
-		pkt []byte
-	}
-	var out []owed
-	for src, rp := range r.recvSnapshot() {
+	for _, e := range r.rcvList {
+		rp := e.rp
 		rp.mu.Lock()
 		if !rp.ackDirty {
 			rp.mu.Unlock()
@@ -574,13 +617,11 @@ func (r *Reliable) flushAcks() {
 		}
 		rp.ackDirty = false
 		rp.ackFresh = 0
-		pkt := wire.Packet{Type: wire.FAck, Src: r.Self(), Epoch: rp.epoch, AckEpoch: rp.epoch, AckFloor: rp.floor, AckSeqs: selAcksLocked(rp)}
+		r.ackSel = selAcksLocked(rp, r.ackSel[:0])
+		pkt := wire.Packet{Type: wire.FAck, Src: r.Self(), Epoch: rp.epoch, AckEpoch: rp.epoch, AckFloor: rp.floor, AckSeqs: r.ackSel}
 		rp.mu.Unlock()
-		out = append(out, owed{dst: src, pkt: pkt.Encode()})
-	}
-	for _, a := range out {
 		r.acksSent.Add(1)
-		_ = r.inner.Send(a.dst, a.pkt)
+		_ = r.inner.Send(e.id, pkt.Encode())
 	}
 }
 
@@ -610,7 +651,10 @@ func (r *Reliable) SetPeerUp(dst NodeID) {
 	// here rather than re-injected: the application declared them
 	// worthless past their expiry, and retransmitting them would only
 	// add load to a peer that just came back.
-	var revived, dead []*unacked
+	// The packets are collected, not their records: once the lock is
+	// released an ack may recycle a record for another frame.
+	var revived [][]byte
+	var dead []*unacked
 	for _, u := range parked {
 		if !u.expiry.IsZero() && !u.expiry.After(now) {
 			dead = append(dead, u)
@@ -619,14 +663,14 @@ func (r *Reliable) SetPeerUp(dst NodeID) {
 		u.retries = 0
 		u.deadline = now.Add(r.cfg.RetransmitTimeout)
 		p.inflight[u.seq] = u
-		revived = append(revived, u)
+		revived = append(revived, u.packet)
 	}
 	p.space.Broadcast()
 	p.mu.Unlock()
 	r.reportExpired(dst, dead)
-	for _, u := range revived {
+	for _, pkt := range revived {
 		r.dataSent.Add(1)
-		_ = r.inner.Send(dst, u.packet)
+		_ = r.inner.Send(dst, pkt)
 	}
 }
 
@@ -838,6 +882,15 @@ func (r *Reliable) reportExpired(dst NodeID, expired []*unacked) {
 // the input stream goes momentarily idle (end of a burst) or every
 // ackFlushEvery frames within a burst, so N data frames cost O(1) ack
 // packets instead of N.
+//
+// The loop never blocks on its consumer. While the delivered queue is
+// full it keeps reading: ack state, dedicated and piggybacked, is
+// applied at once, so this node's own send windows keep draining, and
+// data packets are held before dedup, OnAccept and ack, to be accepted
+// in arrival order as room appears. Unacked, they stay in their
+// senders' windows, which bound what is held. Blocking instead would
+// stop the acks too, and a consumer waiting on a site that waits on
+// this node's window would never be served.
 func (r *Reliable) recvLoop() {
 	defer close(r.recvDone)
 	defer r.recvOnce.Do(func() { close(r.recv) })
@@ -855,11 +908,34 @@ func (r *Reliable) recvLoop() {
 			armed = false
 		}
 	}
+	var pkt wire.Packet // decode scratch
+	var held []heldPkt  // read while the queue was full; held[hi:] wait
+	hi := 0
+	var offer []byte // accepted, waiting for queue room
 	for {
+		for offer == nil && hi < len(held) {
+			h := held[hi]
+			held[hi] = heldPkt{}
+			hi++
+			offer = r.accept(&h)
+			if offer != nil && r.tryPush(offer) {
+				offer = nil
+			}
+		}
+		if hi == len(held) {
+			held, hi = held[:0], 0
+		}
+		var deliver chan<- []byte // nil (never ready) unless offering
+		if offer != nil {
+			deliver = r.recv
+		}
 		var frame []byte
 		var ok bool
 		select {
 		case frame, ok = <-in:
+		case deliver <- offer:
+			offer = nil
+			continue
 		default:
 			// Input momentarily idle. Before settling ack debts with
 			// dedicated packets, hold a grace window so outbound traffic
@@ -878,6 +954,9 @@ func (r *Reliable) recvLoop() {
 				}
 				select {
 				case frame, ok = <-in:
+				case deliver <- offer:
+					offer = nil
+					continue
 				case <-ackTimer.C:
 					armed = false
 					r.flushAcks()
@@ -887,9 +966,11 @@ func (r *Reliable) recvLoop() {
 				}
 			} else {
 				disarm()
-				r.flushAcks()
 				select {
 				case frame, ok = <-in:
+				case deliver <- offer:
+					offer = nil
+					continue
 				case <-r.stop:
 					return
 				}
@@ -898,18 +979,55 @@ func (r *Reliable) recvLoop() {
 		if !ok {
 			return
 		}
-		if !r.handleFrame(frame) {
-			return
+		full := offer != nil || hi < len(held)
+		h, data := r.readPacket(frame, &pkt, full)
+		if !data {
+			continue
+		}
+		if full {
+			r.held.Add(1)
+			if hi > 0 && len(held) == cap(held) {
+				// Reuse the accepted prefix rather than grow past it.
+				n := copy(held, held[hi:])
+				clear(held[n:])
+				held, hi = held[:n], 0
+			}
+			held = append(held, h)
+			continue
+		}
+		if offer = r.accept(&h); offer != nil && r.tryPush(offer) {
+			offer = nil
 		}
 	}
 }
 
-// ackDebt reports whether any peer has unflushed ack state.
+// heldPkt is a data or raw packet off the wire, its ack state already
+// applied, on its way to acceptance.
+type heldPkt struct {
+	typ     wire.FrameType // FData, or FRaw (best effort, or not a packet)
+	src     NodeID
+	epoch   uint32
+	seq     uint64
+	payload []byte
+}
+
+// tryPush offers a delivered frame to the consumer without waiting.
+func (r *Reliable) tryPush(frame []byte) bool {
+	select {
+	case r.recv <- frame:
+		return true
+	default:
+		return false
+	}
+}
+
+// ackDebt reports whether any peer has unflushed ack state. Receive
+// loop only.
 func (r *Reliable) ackDebt() bool {
-	for _, rp := range r.recvSnapshot() {
-		rp.mu.Lock()
-		dirty := rp.ackDirty
-		rp.mu.Unlock()
+	for _, e := range r.rcvList {
+		e.rp.mu.Lock()
+		dirty := e.rp.ackDirty
+		e.rp.mu.Unlock()
 		if dirty {
 			return true
 		}
@@ -917,114 +1035,114 @@ func (r *Reliable) ackDebt() bool {
 	return false
 }
 
-// handleFrame processes one raw frame off the wrapped transport; false
-// means the layer is stopping.
-func (r *Reliable) handleFrame(frame []byte) bool {
-	pkt, err := wire.DecodePacket(frame)
-	if err != nil {
+// readPacket decodes one raw frame off the wrapped transport into pkt
+// and applies the ack state it carries; data reports a payload to
+// accept, described by h. full says the delivered queue is full, for
+// the FullAcks count.
+func (r *Reliable) readPacket(frame []byte, pkt *wire.Packet, full bool) (h heldPkt, data bool) {
+	if err := wire.DecodePacketInto(pkt, frame); err != nil {
 		// Not a reliable-layer packet (peer without the layer); pass
 		// it through untouched.
-		return r.push(frame)
+		return heldPkt{typ: wire.FRaw, payload: frame}, true
 	}
 	// Ack state piggybacked on data/raw packets is consumed first so
-	// window space frees before any delivery work. (Dedicated FAck
-	// packets are handled in the switch below.)
-	if pkt.Type != wire.FAck && (pkt.AckFloor > 0 || len(pkt.AckSeqs) > 0) {
-		r.applyAck(pkt.Src, pkt.AckEpoch, pkt.AckFloor, pkt.AckSeqs)
-	}
+	// window space frees before any delivery work.
 	switch pkt.Type {
-	case wire.FData:
-		rp := r.recvPeerFor(pkt.Src, pkt.Epoch)
-		rp.mu.Lock()
-		if pkt.Epoch < rp.epoch {
-			// Straggler from a dead incarnation: drop it unacked —
-			// the current incarnation must not see pre-crash ops,
-			// and there is no sender left to ack to.
-			rp.mu.Unlock()
-			r.staleDrops.Add(1)
-			return true
-		}
-		if pkt.Epoch > rp.epoch {
-			// The peer restarted under a new incarnation with a
-			// fresh sequence space.
-			rp.epoch = pkt.Epoch
-			rp.floor = 0
-			rp.seen = map[uint64]bool{}
-			rp.ackDirty = false
-			rp.ackFresh = 0
-		}
-		dup := pkt.Seq <= rp.floor || rp.seen[pkt.Seq]
-		rp.mu.Unlock()
-		// Write-ahead discipline: a fresh frame is journaled
-		// (OnAccept) before any ack state covering it can exist, so
-		// acked ⇒ journaled. On error nothing is recorded — the seq
-		// stays out of floor/seen, no ack will cover it, and the
-		// sender's retransmit gets a fresh acceptance attempt (were it
-		// marked seen first, the retransmit would be "acked" as a
-		// duplicate without ever having been journaled or delivered).
-		if !dup && r.cfg.OnAccept != nil {
-			if err := r.cfg.OnAccept(pkt.Src, pkt.Payload); err != nil {
-				return true
-			}
-		}
-		rp.mu.Lock()
-		if !dup {
-			rp.seen[pkt.Seq] = true
-			for rp.seen[rp.floor+1] {
-				delete(rp.seen, rp.floor+1)
-				rp.floor++
-			}
-			if len(rp.seen) > dedupWindow {
-				// A gap outlived the window: its sender gave it
-				// up. Slide past the gap so memory stays bounded.
-				min := pkt.Seq
-				for s := range rp.seen {
-					if s < min {
-						min = s
-					}
-				}
-				rp.floor = min
-				delete(rp.seen, min)
-				for rp.seen[rp.floor+1] {
-					rp.floor++
-					delete(rp.seen, rp.floor)
-				}
-			}
-		}
-		// Fresh or duplicate, the sender is owed ack state covering
-		// this seq (a duplicate usually means our previous ack was
-		// lost). It flushes at burst end, mid-burst every
-		// ackFlushEvery frames, or piggybacked on reverse traffic —
-		// whichever comes first.
-		rp.ackDirty = true
-		rp.ackFresh++
-		forceFlush := rp.ackFresh >= ackFlushEvery
-		rp.mu.Unlock()
-		if forceFlush {
-			r.flushAcks()
-		}
-		if dup {
-			r.dupDrops.Add(1)
-			return true
-		}
-		return r.push(pkt.Payload)
 	case wire.FAck:
 		r.applyAck(pkt.Src, pkt.Epoch, pkt.AckFloor, pkt.AckSeqs)
-	case wire.FRaw:
-		return r.push(pkt.Payload)
+		if full {
+			r.fullAcks.Add(1)
+		}
+		return heldPkt{}, false
+	default:
+		if pkt.AckFloor > 0 || len(pkt.AckSeqs) > 0 {
+			r.applyAck(pkt.Src, pkt.AckEpoch, pkt.AckFloor, pkt.AckSeqs)
+		}
 	}
-	return true
+	return heldPkt{typ: pkt.Type, src: pkt.Src, epoch: pkt.Epoch, seq: pkt.Seq, payload: pkt.Payload}, true
 }
 
-// push hands a delivered frame to the consumer; false means the layer
-// is stopping.
-func (r *Reliable) push(frame []byte) bool {
-	select {
-	case r.recv <- frame:
-		return true
-	case <-r.stop:
-		return false
+// accept runs a data packet through dedup and OnAccept and records it
+// as owed an ack; it returns the payload to deliver, or nil for a
+// duplicate, a stale packet or a rejected accept. A raw payload is
+// delivered as it is.
+func (r *Reliable) accept(h *heldPkt) []byte {
+	if h.typ != wire.FData {
+		return h.payload
 	}
+	rp := r.recvPeerFor(h.src, h.epoch)
+	rp.mu.Lock()
+	if h.epoch < rp.epoch {
+		// Straggler from a dead incarnation: drop it unacked — the
+		// current incarnation must not see pre-crash ops, and there is
+		// no sender left to ack to.
+		rp.mu.Unlock()
+		r.staleDrops.Add(1)
+		return nil
+	}
+	if h.epoch > rp.epoch {
+		// The peer restarted under a new incarnation with a fresh
+		// sequence space.
+		rp.epoch = h.epoch
+		rp.floor = 0
+		rp.seen = map[uint64]bool{}
+		rp.ackDirty = false
+		rp.ackFresh = 0
+	}
+	dup := h.seq <= rp.floor || rp.seen[h.seq]
+	rp.mu.Unlock()
+	// Write-ahead discipline: a fresh frame is journaled (OnAccept)
+	// before any ack state covering it can exist, so acked ⇒ journaled.
+	// On error nothing is recorded — the seq stays out of floor/seen,
+	// no ack will cover it, and the sender's retransmit gets a fresh
+	// acceptance attempt (were it marked seen first, the retransmit
+	// would be "acked" as a duplicate without ever having been
+	// journaled or delivered).
+	if !dup && r.cfg.OnAccept != nil {
+		if err := r.cfg.OnAccept(h.src, h.payload); err != nil {
+			return nil
+		}
+	}
+	rp.mu.Lock()
+	if !dup {
+		rp.seen[h.seq] = true
+		for rp.seen[rp.floor+1] {
+			delete(rp.seen, rp.floor+1)
+			rp.floor++
+		}
+		if len(rp.seen) > dedupWindow {
+			// A gap outlived the window: its sender gave it up. Slide
+			// past the gap so memory stays bounded.
+			min := h.seq
+			for s := range rp.seen {
+				if s < min {
+					min = s
+				}
+			}
+			rp.floor = min
+			delete(rp.seen, min)
+			for rp.seen[rp.floor+1] {
+				rp.floor++
+				delete(rp.seen, rp.floor)
+			}
+		}
+	}
+	// Fresh or duplicate, the sender is owed ack state covering this
+	// seq (a duplicate usually means our previous ack was lost). It
+	// flushes at burst end, mid-burst every ackFlushEvery frames, or
+	// piggybacked on reverse traffic — whichever comes first.
+	rp.ackDirty = true
+	rp.ackFresh++
+	forceFlush := rp.ackFresh >= ackFlushEvery
+	rp.mu.Unlock()
+	if forceFlush {
+		r.flushAcks()
+	}
+	if dup {
+		r.dupDrops.Add(1)
+		return nil
+	}
+	return h.payload
 }
 
 // Close stops the layer's goroutines and closes the delivered-frame

@@ -550,3 +550,64 @@ func waitCond(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestReliableHoldsDataButAppliesAcksWhileQueueFull: b's consumer reads
+// nothing, so b's delivered-frame queue fills and b holds a's further
+// data unacked, which stalls a's sender on its window. b must still
+// apply the acks a sends for b's own traffic: b sends three windows'
+// worth to a, which completes only if b keeps reading a's acks while
+// its queue is full. Once b's consumer starts, every frame a sent is
+// delivered exactly once.
+func TestReliableHoldsDataButAppliesAcksWhileQueueFull(t *testing.T) {
+	const window, toB = 16, 100
+	_, a, b, stop := reliablePair(t, transport.ChaosConfig{}, transport.ReliableConfig{Window: window})
+	defer stop()
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < toB; i++ {
+			if err := a.Send(2, []byte(fmt.Sprintf("a%d", i))); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for b.Stats().Held == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("b never held a data packet")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	back := make(chan error, 1)
+	go func() {
+		for i := 0; i < 3*window; i++ {
+			if err := b.Send(1, []byte(fmt.Sprintf("b%d", i))); err != nil {
+				back <- err
+				return
+			}
+		}
+		back <- nil
+	}()
+	got := collectN(t, a, 3*window, 10*time.Second)
+	if err := <-back; err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3*window {
+		t.Fatalf("a received %d distinct frames, want %d", len(got), 3*window)
+	}
+	if st := b.Stats(); st.FullAcks == 0 {
+		t.Fatalf("b's sends completed but no dedicated ack was counted while its queue was full: %+v", st)
+	}
+
+	got = collectN(t, b, toB, 10*time.Second)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < toB; i++ {
+		if n := got[fmt.Sprintf("a%d", i)]; n != 1 {
+			t.Fatalf("frame a%d delivered %d times", i, n)
+		}
+	}
+}

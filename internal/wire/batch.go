@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Batch framing: one FBatch type byte, then for each coalesced
 // envelope a fixed 4-byte little-endian length followed by the
@@ -55,24 +58,75 @@ func (b *BatchBuilder) Count() int { return b.count }
 // Len returns the frame size so far (flush-threshold input).
 func (b *BatchBuilder) Len() int { return b.w.Len() }
 
-// TakeFrame detaches the accumulated frame and resets the builder for
-// reuse. A single-entry batch is returned as the plain envelope — the
-// batch framing is dropped, so a lone flush costs no extra bytes and
-// decodes everywhere an unbatched envelope would.
-func (b *BatchBuilder) TakeFrame() []byte {
+// Headroom is the room TakeFramed leaves in front of a frame: enough
+// for a reliable-layer packet header (type byte, six varints and a few
+// selective acks), which transport.Reliable writes there in place
+// instead of copying the frame behind a fresh header.
+const Headroom = 32
+
+// maxEntryHdr bounds an entry's framing: its length slot and an
+// envelope header with both optional fields.
+const maxEntryHdr = 4 + 1 + 2*binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
+
+// Fits reports whether one more entry of n payload bytes keeps the
+// TakeFramed buffer, headroom included, within limit bytes.
+func (b *BatchBuilder) Fits(n, limit int) bool {
+	return Headroom+b.w.Len()+maxEntryHdr+n <= limit
+}
+
+// frame returns the accumulated frame in the builder's own buffer. A
+// single-entry batch is the plain envelope — the batch framing is
+// dropped, so a lone flush costs no extra bytes and decodes everywhere
+// an unbatched envelope would.
+func (b *BatchBuilder) frame() []byte {
 	if b.entryOff >= 0 {
-		panic("wire: TakeFrame with entry open")
+		panic("wire: frame taken with entry open")
 	}
-	var out []byte
 	if b.count == 1 {
-		out = append(out, b.w.Bytes()[5:]...) // skip FBatch byte + length slot
-		b.w.Reset()
-	} else {
-		out = b.w.Detach()
+		return b.w.Bytes()[5:] // skip FBatch byte + length slot
 	}
+	return b.w.Bytes()
+}
+
+// reset empties the builder for the next frame.
+func (b *BatchBuilder) reset() {
+	b.w.Reset()
 	b.w.Byte(byte(FBatch))
 	b.count = 0
+}
+
+// TakeFrame copies the accumulated frame out and resets the builder
+// for reuse.
+func (b *BatchBuilder) TakeFrame() []byte {
+	f := b.frame()
+	out := make([]byte, len(f))
+	copy(out, f)
+	b.reset()
 	return out
+}
+
+// TakeFramed is TakeFrame into a buffer that starts with Headroom free
+// bytes, marked by an FRoom first byte, followed by the frame. It is
+// the frame's one copy on the send path: transport.Reliable writes its
+// packet header into the room, and sending strips the room for every
+// other transport (SplitHeadroom).
+func (b *BatchBuilder) TakeFramed() []byte {
+	f := b.frame()
+	out := make([]byte, Headroom+len(f))
+	out[0] = byte(FRoom)
+	copy(out[Headroom:], f)
+	b.reset()
+	return out
+}
+
+// SplitHeadroom returns the frame a TakeFramed buffer carries and the
+// size of the free room in front of it. Any other buffer is a bare
+// frame with no room.
+func SplitHeadroom(buf []byte) (frame []byte, room int) {
+	if len(buf) > Headroom && FrameType(buf[0]) == FRoom {
+		return buf[Headroom:], Headroom
+	}
+	return buf, 0
 }
 
 // Release returns the builder's writer to the pool.

@@ -51,6 +51,11 @@ const (
 	// is the phi-accrual detector's signal — while piggybacked updates
 	// ride inside coalesced batches.
 	FGossip
+
+	// FRoom marks a buffer from BatchBuilder.TakeFramed: Headroom free
+	// bytes, then the frame. It never reaches the wire (see
+	// SplitHeadroom).
+	FRoom
 )
 
 func (t FrameType) String() string {
@@ -75,6 +80,8 @@ func (t FrameType) String() string {
 		return "batch"
 	case FGossip:
 		return "gossip"
+	case FRoom:
+		return "room"
 	default:
 		return fmt.Sprintf("frame(%d)", uint8(t))
 	}

@@ -43,13 +43,14 @@ func FuzzDecodePacket(f *testing.F) {
 	f.Add((&Packet{Type: FRaw, Src: 1, Payload: []byte{0xde, 0xad}}).Encode())
 	f.Add([]byte{byte(FData)})
 	f.Add([]byte{})
+	f.Add((&Packet{Type: FData, Src: 2, Epoch: 3, Seq: 1 << 20, AckEpoch: 1, AckFloor: 1 << 30,
+		AckSeqs: []uint64{1<<30 + 2, 1<<30 + 9, 1<<30 + 300, 1 << 40}, Payload: []byte("long header")}).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodePacket(data)
-		if err != nil {
+		var p, again Packet
+		if err := DecodePacketInto(&p, data); err != nil {
 			return
 		}
-		again, err := DecodePacket(p.Encode())
-		if err != nil {
+		if err := DecodePacketInto(&again, p.Encode()); err != nil {
 			t.Fatalf("re-decode of accepted packet failed: %v", err)
 		}
 		if again.Type != p.Type || again.Src != p.Src || again.Epoch != p.Epoch ||
@@ -60,6 +61,27 @@ func FuzzDecodePacket(f *testing.F) {
 		for i := range p.AckSeqs {
 			if again.AckSeqs[i] != p.AckSeqs[i] {
 				t.Fatalf("ack seq %d: %d -> %d", i, p.AckSeqs[i], again.AckSeqs[i])
+			}
+		}
+		// The in-place encoding, behind every headroom a caller may
+		// leave, is Encode's bytes; a header longer than the room takes
+		// the copying fallback.
+		want := p.Encode()
+		hdr := len(want) - len(p.Payload)
+		for room := 0; room <= Headroom; room++ {
+			buf := make([]byte, room+len(p.Payload))
+			copy(buf[room:], p.Payload)
+			got := p.EncodeIn(buf, room)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("room %d: in-place encoding %x, Encode %x", room, got, want)
+			}
+			inPlace := len(buf) > 0 && &got[len(got)-1] == &buf[len(buf)-1]
+			if fits := hdr <= room; inPlace != fits && len(buf) > 0 {
+				t.Fatalf("room %d, header %d bytes: in place = %v", room, hdr, inPlace)
+			}
+			var back Packet
+			if err := DecodePacketInto(&back, got); err != nil || back.Seq != p.Seq || !bytes.Equal(back.Payload, p.Payload) {
+				t.Fatalf("room %d: round trip failed: %v", room, err)
 			}
 		}
 	})

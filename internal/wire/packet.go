@@ -1,6 +1,10 @@
 package wire
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // Packet is the unit exchanged by the reliable delivery layer
 // (transport.Reliable). It sits below Envelope: a data packet's payload
@@ -38,93 +42,107 @@ type Packet struct {
 // maxAckSeqs bounds the selective-ack list on decode.
 const maxAckSeqs = 1 << 12
 
-// AppendTo appends the packet's encoding to w.
-func (p *Packet) AppendTo(w *Writer) {
-	w.Byte(byte(p.Type))
-	w.U(uint64(p.Src))
-	w.U(uint64(p.Epoch))
-	w.U(p.Seq)
-	w.U(uint64(p.AckEpoch))
-	w.U(p.AckFloor)
-	w.U(uint64(len(p.AckSeqs)))
+// hdrLen is the length of the packet's encoding before its payload.
+func (p *Packet) hdrLen() int {
+	n := 1 + uvarintLen(uint64(p.Src)) + uvarintLen(uint64(p.Epoch)) + uvarintLen(p.Seq) +
+		uvarintLen(uint64(p.AckEpoch)) + uvarintLen(p.AckFloor) + uvarintLen(uint64(len(p.AckSeqs)))
 	prev := p.AckFloor
 	for _, s := range p.AckSeqs {
-		w.U(s - prev) // ascending: delta-encode
+		n += uvarintLen(s - prev)
 		prev = s
 	}
-	w.Raw(p.Payload)
+	return n
 }
 
-// Encode serializes the packet.
+// putHdr writes the header into dst, which is hdrLen bytes long.
+func (p *Packet) putHdr(dst []byte) {
+	dst[0] = byte(p.Type)
+	i := 1
+	i += binary.PutUvarint(dst[i:], uint64(p.Src))
+	i += binary.PutUvarint(dst[i:], uint64(p.Epoch))
+	i += binary.PutUvarint(dst[i:], p.Seq)
+	i += binary.PutUvarint(dst[i:], uint64(p.AckEpoch))
+	i += binary.PutUvarint(dst[i:], p.AckFloor)
+	i += binary.PutUvarint(dst[i:], uint64(len(p.AckSeqs)))
+	prev := p.AckFloor
+	for _, s := range p.AckSeqs {
+		i += binary.PutUvarint(dst[i:], s-prev) // ascending: delta-encode
+		prev = s
+	}
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// Encode serializes the packet into one right-sized slice.
 func (p *Packet) Encode() []byte {
-	w := GetWriter()
-	p.AppendTo(w)
-	out := w.Detach()
-	PutWriter(w)
+	h := p.hdrLen()
+	out := make([]byte, h+len(p.Payload))
+	p.putHdr(out[:h])
+	copy(out[h:], p.Payload)
 	return out
 }
 
-// DecodePacket parses a reliable-layer packet. The payload sub-slices
-// data (no copy).
-func DecodePacket(data []byte) (*Packet, error) {
+// EncodeIn encodes the packet whose payload is buf[room:] (p.Payload
+// is ignored). When the header fits the room bytes in front of the
+// payload it is written there, right-aligned, and the packet is a
+// sub-slice of buf: the payload is not copied. A longer header (a long
+// selective-ack list) falls back to Encode's copy. Either way the bytes
+// are Encode's.
+func (p *Packet) EncodeIn(buf []byte, room int) []byte {
+	h := p.hdrLen()
+	if h > room {
+		q := *p
+		q.Payload = buf[room:]
+		return q.Encode()
+	}
+	p.putHdr(buf[room-h : room])
+	return buf[room-h:]
+}
+
+// DecodePacketInto parses a reliable-layer packet into a caller-owned
+// packet, reusing its AckSeqs array: a receive loop decodes every
+// packet into one scratch value. The payload sub-slices data (no
+// copy). On error *p is unspecified.
+func DecodePacketInto(p *Packet, data []byte) error {
 	r := NewReader(data)
 	t, err := r.Byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch FrameType(t) {
 	case FData, FAck, FRaw:
 	default:
-		return nil, fmt.Errorf("wire: frame type %s is not a reliable-layer packet", FrameType(t))
+		return fmt.Errorf("wire: frame type %s is not a reliable-layer packet", FrameType(t))
 	}
-	src, err := r.U()
-	if err != nil {
-		return nil, err
-	}
-	epoch, err := r.U()
-	if err != nil {
-		return nil, err
-	}
-	seq, err := r.U()
-	if err != nil {
-		return nil, err
-	}
-	ackEpoch, err := r.U()
-	if err != nil {
-		return nil, err
-	}
-	ackFloor, err := r.U()
-	if err != nil {
-		return nil, err
-	}
-	nAck, err := r.U()
-	if err != nil {
-		return nil, err
-	}
-	if nAck > maxAckSeqs {
-		return nil, fmt.Errorf("wire: ack list of %d too large", nAck)
-	}
-	var ackSeqs []uint64
-	if nAck > 0 {
-		ackSeqs = make([]uint64, nAck)
-		prev := ackFloor
-		for i := range ackSeqs {
-			d, err := r.U()
-			if err != nil {
-				return nil, err
-			}
-			prev += d
-			ackSeqs[i] = prev
+	var f [6]uint64 // src, epoch, seq, ack epoch, ack floor, ack count
+	for i := range f {
+		if f[i], err = r.U(); err != nil {
+			return err
 		}
 	}
-	return &Packet{
+	nAck := f[5]
+	if nAck > maxAckSeqs {
+		return fmt.Errorf("wire: ack list of %d too large", nAck)
+	}
+	ackSeqs := p.AckSeqs[:0]
+	prev := f[4]
+	for i := uint64(0); i < nAck; i++ {
+		d, err := r.U()
+		if err != nil {
+			return err
+		}
+		prev += d
+		ackSeqs = append(ackSeqs, prev)
+	}
+	*p = Packet{
 		Type:     FrameType(t),
-		Src:      uint32(src),
-		Epoch:    uint32(epoch),
-		Seq:      seq,
-		AckEpoch: uint32(ackEpoch),
-		AckFloor: ackFloor,
+		Src:      uint32(f[0]),
+		Epoch:    uint32(f[1]),
+		Seq:      f[2],
+		AckEpoch: uint32(f[3]),
+		AckFloor: f[4],
 		AckSeqs:  ackSeqs,
 		Payload:  r.Rest(),
-	}, nil
+	}
+	return nil
 }

@@ -11,8 +11,8 @@ func TestPacketRoundTrip(t *testing.T) {
 		{Type: FAck, Src: 7, Seq: 1 << 40},
 		{Type: FRaw, Src: 1, Payload: []byte{0xde, 0xad}},
 	} {
-		got, err := DecodePacket(p.Encode())
-		if err != nil {
+		var got Packet
+		if err := DecodePacketInto(&got, p.Encode()); err != nil {
 			t.Fatalf("%s: %v", p.Type, err)
 		}
 		if got.Type != p.Type || got.Src != p.Src || got.Seq != p.Seq || !bytes.Equal(got.Payload, p.Payload) {
@@ -23,10 +23,11 @@ func TestPacketRoundTrip(t *testing.T) {
 
 func TestPacketRejectsEnvelopeTypes(t *testing.T) {
 	env := &Envelope{Type: FMsg, SrcNode: 1, DstNode: 2, Payload: []byte("x")}
-	if _, err := DecodePacket(env.Encode()); err == nil {
+	var p Packet
+	if err := DecodePacketInto(&p, env.Encode()); err == nil {
 		t.Fatal("envelope decoded as reliable-layer packet")
 	}
-	if _, err := DecodePacket([]byte{byte(FData)}); err == nil {
+	if err := DecodePacketInto(&p, []byte{byte(FData)}); err == nil {
 		t.Fatal("truncated packet accepted")
 	}
 }
