@@ -1,5 +1,5 @@
-// Package repro's benchmarks wrap the EXPERIMENTS.md workloads in
-// testing.B form — one benchmark family per experiment table.
+// Package repro's benchmarks wrap EXPERIMENTS.md workloads in
+// testing.B form — one benchmark family for each of E1–E8 and E17.
 // cmd/tycobench prints the full tables; these targets give per-op
 // numbers and allocation profiles:
 //
@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -361,91 +360,6 @@ func BenchmarkE8Termination(b *testing.B) {
 	}
 }
 
-// BenchmarkE11Batching reports the frame-coalescing fast path against
-// the per-message seed behaviour (EXPERIMENTS.md E11): 128 concurrent
-// callers ping-pong across a reliable 2-node cluster, so the coalescer
-// can pack a full caller window into each FBatch frame. Run with
-// -benchmem to see the allocation economy of the pooled writers.
-func BenchmarkE11Batching(b *testing.B) {
-	server := `def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p]) in export new p Serve[p]`
-	const callers = 128
-	for _, cse := range []struct {
-		name  string
-		batch node.BatchConfig
-	}{
-		{"unbatched", node.BatchConfig{Disable: true}},
-		{"batched", node.BatchConfig{}},
-	} {
-		for _, link := range []string{"fastether", "wan"} {
-			b.Run(cse.name+"/"+link, func(b *testing.B) {
-				perCaller := b.N/callers + 1
-				b.ResetTimer()
-				runWorkload(b, core.ClusterConfig{
-					Nodes:       2,
-					Link:        mustLink(link),
-					Reliability: &transport.ReliableConfig{},
-					Batch:       cse.batch,
-				}, []benchProgram{
-					{node: 0, site: "server", src: server},
-					{node: 1, site: "client", src: pingClient(callers, perCaller)},
-				}, nil)
-				// Each call is one request plus one reply envelope.
-				b.ReportMetric(float64(2*callers*perCaller)/b.Elapsed().Seconds(), "msgs/s")
-			})
-		}
-	}
-}
-
-// BenchmarkE16Scaling reports the work-stealing runtime's multi-core
-// scaling (EXPERIMENTS.md E16): a many-site ping-pong workload — 8
-// independent server/client site pairs across 2 nodes — swept over
-// GOMAXPROCS and scheduler worker count together. On a machine with
-// enough cores, msgs/s should grow with P; msgs/s at P beyond the
-// physical core count measures scheduler overhead instead.
-func BenchmarkE16Scaling(b *testing.B) {
-	server := `def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p]) in export new p Serve[p]`
-	const sites = 8
-	const callers = 8
-	client := func(srv string, c int) string {
-		parts := make([]string, callers)
-		for i := range parts {
-			parts[i] = fmt.Sprintf("Caller[%d]", c)
-		}
-		return "import p from " + srv + " in\n" +
-			"def Caller(n) = if n == 0 then inaction else let y = p![n] in Caller[n - 1]\nin " +
-			strings.Join(parts, " | ")
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("gomaxprocs=%d", p), func(b *testing.B) {
-			runtime.GOMAXPROCS(p)
-			defer runtime.GOMAXPROCS(prev)
-			perCaller := b.N/(sites*callers) + 1
-			progs := make([]benchProgram, 0, 2*sites)
-			for i := 0; i < sites; i++ {
-				progs = append(progs, benchProgram{node: 0, site: fmt.Sprintf("server%d", i), src: server})
-			}
-			for i := 0; i < sites; i++ {
-				progs = append(progs, benchProgram{
-					node: 1,
-					site: fmt.Sprintf("client%d", i),
-					src:  client(fmt.Sprintf("server%d", i), perCaller),
-				})
-			}
-			b.ResetTimer()
-			runWorkload(b, core.ClusterConfig{
-				Nodes:       2,
-				Link:        mustLink("fastether"),
-				Reliability: &transport.ReliableConfig{},
-				Sched:       node.SchedConfig{Workers: p},
-			}, progs, nil)
-			// Each call is one request plus one reply envelope.
-			b.ReportMetric(float64(2*sites*callers*perCaller)/b.Elapsed().Seconds(), "msgs/s")
-		})
-	}
-}
-
 // BenchmarkE17NameService reports the sharded name service's two hot
 // paths (EXPERIMENTS.md E17): registrations routed by consistent hash
 // onto per-member lease tables, and skewed lookups absorbed by a
@@ -484,28 +398,4 @@ func BenchmarkE17NameService(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 	})
-}
-
-// BenchmarkAblationPollInterval sweeps the site scheduler's
-// incoming-queue poll interval (the "read periodically" knob of paper
-// §5): small values react to the network quickly but pay polling
-// overhead; large values batch local work. The workload is the E2
-// cross-site ping-pong, which is maximally sensitive to the knob.
-func BenchmarkAblationPollInterval(b *testing.B) {
-	server := `def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p]) in export new p Serve[p]`
-	for _, k := range []int{1, 8, 64, 512} {
-		b.Run(fmt.Sprintf("poll=%d", k), func(b *testing.B) {
-			client := fmt.Sprintf(`
-import p from server in
-def Call(n) = if n == 0 then inaction else let y = p![n] in Call[n - 1]
-in Call[%d]`, b.N)
-			runWorkload(b, core.ClusterConfig{Nodes: 1}, []benchProgram{
-				{node: 0, site: "server", src: server},
-				{node: 0, site: "client", src: client},
-			}, map[string][]node.SiteOption{
-				"server": {node.WithPollInterval(k)},
-				"client": {node.WithPollInterval(k)},
-			})
-		})
-	}
 }

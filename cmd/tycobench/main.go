@@ -6,23 +6,22 @@
 //	tycobench -quick               # CI-sized workloads
 //	tycobench -e e1,e4             # selected experiments
 //	tycobench -list                # list experiments
-//	tycobench -json out.json       # also write machine-readable metrics
 //	tycobench -seed 7              # override seeded components
 //	tycobench -telemetry dump.json # telemetry capture run: write a flight-recorder dump
 //	tycobench -openloop 1,2,5      # overload drill (E15) at these multiples of wire capacity
-//	tycobench -slo 'p99(deliver.sojourn_nanos)<5ms' # open-loop SLO drill; -json adds a verdict block
-//	tycobench -parallel 1,2,4,8    # GOMAXPROCS sweep for the scaling experiments (E16)
+//	tycobench -slo 'p99(deliver.sojourn_nanos)<5ms' # open-loop SLO drill: burn-rate verdicts per load level
 //	tycobench -scrape 127.0.0.1:9101  # strict-validate a node's /metrics endpoint
 //	tycobench -cpuprofile cpu.pb   # pprof CPU profile of the run
 //	tycobench -memprofile mem.pb   # heap profile at exit
 //
-// The -json file is {"meta": {...}, "metrics": {...}}: meta records
-// the seed, Go version and GOMAXPROCS of the run so a baseline can be
-// compared apples-to-apples (cmd/benchdiff prints meta mismatches).
+// The tables are for reading. The repository's benchmark (benchmark/,
+// BENCHMARK.json) measures performance across changes, and the
+// deterministic values the tables carry — E5's two ship steps, E17's
+// cache hit ratio, E18's merged p999 — are pinned by the tests of
+// internal/experiments.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -37,35 +36,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// benchMeta identifies the machine/run that produced a metrics file.
-type benchMeta struct {
-	Seed       int64  `json:"seed"`
-	GoVersion  string `json:"goVersion"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Quick      bool   `json:"quick"`
-	// Cpus is runtime.NumCPU(): the scaling sweeps (E16) are only
-	// meaningful up to this many workers, so benchdiff surfaces a
-	// mismatch before comparing efficiency curves.
-	Cpus int `json:"cpus"`
-	// Parallel echoes the -parallel sweep used for the scaling
-	// experiments ("" = their default {1,2,4,8}).
-	Parallel string `json:"parallel,omitempty"`
-}
-
 func main() {
 	var (
 		quick    = flag.Bool("quick", false, "shrink workloads (CI mode)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		sel      = flag.String("e", "", "comma-separated experiment ids (default: all)")
-		jsonPath = flag.String("json", "", "write collected metrics as JSON to this file ({meta, metrics})")
 		seed     = flag.Int64("seed", 0, "override seeded components (0 = per-experiment defaults)")
 		telPath  = flag.String("telemetry", "", "run a telemetry capture workload and write the flight-recorder dump to this file")
 		openloop = flag.String("openloop", "", "drive the open-loop overdrive drill (E15) at these comma-separated multiples of wire capacity, e.g. 1,2,5")
-		sloSpecs = flag.String("slo", "", "comma-separated SLO specs (e.g. 'p99(deliver.sojourn_nanos)<5ms@2s'); drives the open-loop drill with burn-rate tracking on (-openloop sets the load levels, default 1x) and reports verdicts; with -json the doc gains an slo block")
+		sloSpecs = flag.String("slo", "", "comma-separated SLO specs (e.g. 'p99(deliver.sojourn_nanos)<5ms@2s'); drives the open-loop drill with burn-rate tracking on (-openloop sets the load levels, default 1x) and reports verdicts")
 		scrape   = flag.String("scrape", "", "scrape host:port/metrics, strict-validate the OpenMetrics text, and print each family (exit 1 on parse failure)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		parallel = flag.String("parallel", "", "comma-separated GOMAXPROCS sweep for the scaling experiments (E16), e.g. 1,2,4,8")
 	)
 	flag.Parse()
 
@@ -103,16 +85,6 @@ func main() {
 		return
 	}
 	opts := experiments.Options{Quick: *quick, Seed: *seed}
-	if *parallel != "" {
-		for _, s := range strings.Split(*parallel, ",") {
-			p, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || p < 1 {
-				fmt.Fprintf(os.Stderr, "parallel: bad GOMAXPROCS %q (want a positive integer)\n", s)
-				os.Exit(2)
-			}
-			opts.Parallel = append(opts.Parallel, p)
-		}
-	}
 	var mults []int
 	if *openloop != "" {
 		for _, s := range strings.Split(*openloop, ",") {
@@ -124,14 +96,6 @@ func main() {
 			mults = append(mults, m)
 		}
 	}
-	meta := benchMeta{
-		Seed:       *seed,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      *quick,
-		Cpus:       runtime.NumCPU(),
-		Parallel:   *parallel,
-	}
 	if *sloSpecs != "" {
 		var specs []string
 		for _, s := range strings.Split(*sloSpecs, ",") {
@@ -139,18 +103,12 @@ func main() {
 				specs = append(specs, s)
 			}
 		}
-		table, verdicts, err := experiments.SLODrill(opts, specs, mults)
+		table, err := experiments.SLODrill(opts, specs, mults)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "slo: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Print(table.Render())
-		if *jsonPath != "" {
-			if err := writeBenchJSON(*jsonPath, meta, table.Metrics, verdicts); err != nil {
-				fmt.Fprintf(os.Stderr, "json: %v\n", err)
-				os.Exit(1)
-			}
-		}
 		return
 	}
 	if *openloop != "" {
@@ -175,7 +133,6 @@ func main() {
 		fmt.Printf("telemetry dump written to %s\n", *telPath)
 		return
 	}
-	metrics := map[string]float64{}
 	failed := false
 	for _, r := range all {
 		if len(want) > 0 && !want[r.ID] {
@@ -191,15 +148,6 @@ func main() {
 		}
 		fmt.Print(table.Render())
 		fmt.Printf("(%s in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
-		for k, v := range table.Metrics {
-			metrics[k] = v
-		}
-	}
-	if *jsonPath != "" {
-		if err := writeBenchJSON(*jsonPath, meta, metrics, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			failed = true
-		}
 	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
@@ -216,23 +164,6 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// writeBenchJSON writes the {meta, metrics[, slo]} document benchdiff
-// and the CI lanes consume. The slo block (from `-slo` runs) carries
-// each objective's full verdict — observed value, target, windows,
-// burn rates, state — as a machine-readable go/no-go artifact.
-func writeBenchJSON(path string, meta benchMeta, metrics map[string]float64, verdicts []telemetry.SLOVerdict) error {
-	doc := struct {
-		Meta    benchMeta              `json:"meta"`
-		Metrics map[string]float64     `json:"metrics"`
-		SLO     []telemetry.SLOVerdict `json:"slo,omitempty"`
-	}{Meta: meta, Metrics: metrics, SLO: verdicts}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // scrapeMetrics pulls one node's OpenMetrics exposition through the

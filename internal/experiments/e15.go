@@ -12,6 +12,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/node"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -42,10 +43,6 @@ func E15(o Options) (*Table, error) {
 // directly so an operator can probe other points on the curve (10x,
 // 0.5x) without editing the experiment.
 func OpenLoopDrill(o Options, mults []int) (*Table, error) {
-	// ~2000 frames/s of wire capacity: slow enough that the software
-	// around it is never the bottleneck, fast enough to measure.
-	link := transport.LinkModel{Latency: 50 * time.Microsecond, PerMessage: 500 * time.Microsecond}
-	wireCap := float64(time.Second) / float64(link.PerMessage)
 	duration := time.Duration(o.scale(1200, 400)) * time.Millisecond
 
 	t := &Table{
@@ -53,7 +50,7 @@ func OpenLoopDrill(o Options, mults []int) (*Table, error) {
 		Title:  "open-loop overdrive: goodput, shed accounting, drain time vs offered load",
 		Header: []string{"offered", "msgs", "applied", "rejected", "expired", "goodput/s", "p99", "drain"},
 		Notes: []string{
-			fmt.Sprintf("wire capacity ≈ %.0f msgs/s (PerMessage=%v, coalescing off); offered load is open-loop", wireCap, link.PerMessage),
+			fmt.Sprintf("wire capacity ≈ %.0f msgs/s (PerMessage=%v, coalescing off); offered load is open-loop", wireCapacity, openLoopLink.PerMessage),
 			"rejected: whole sender batches refused at the admission gate (ErrOverloaded)",
 			"expired: frames shed for deadline expiry (sender reliable layer + receiver inbox)",
 			"drain: last offer tick → output and shed counters quiescent; bounded by the deadline, not the backlog",
@@ -64,7 +61,7 @@ func OpenLoopDrill(o Options, mults []int) (*Table, error) {
 
 	var goodput1 float64
 	for _, mult := range mults {
-		res, err := e15Drive(link, wireCap*float64(mult), duration)
+		res, err := e15Drive(float64(mult), duration)
 		if err != nil {
 			return nil, fmt.Errorf("E15 %dx: %w", mult, err)
 		}
@@ -162,6 +159,94 @@ func (w *e15CountWriter) appliedAt(id int) (time.Time, bool) {
 	return at, ok
 }
 
+// openLoopLink is the slow wire every open-loop drill runs on: ~2000
+// frames/s of capacity, slow enough that the software around it is
+// never the bottleneck, fast enough to measure.
+var openLoopLink = transport.LinkModel{Latency: 50 * time.Microsecond, PerMessage: 500 * time.Microsecond}
+
+// wireCapacity is openLoopLink's capacity in frames (= messages, with
+// coalescing off) per second.
+var wireCapacity = float64(time.Second) / float64(openLoopLink.PerMessage)
+
+const e15Server = `def Count(db) = db?(c) = (println("msg", c) | Count[db]) in export new db Count[db]`
+
+// openLoopRig is the cluster every open-loop drill (E15, E18, the SLO
+// drill) drives: two nodes on openLoopLink, the counter server on node
+// 0, and fresh sender sites submitted to node 1.
+type openLoopRig struct {
+	cl      *core.Cluster
+	next    int     // first message id of the next offer
+	senders int     // sender sites submitted so far
+	offers  []offer // every offer made, in order
+}
+
+// offer is one sender site's batch: message ids [lo, hi), offered at
+// `at`; admitted is false when the admission gate refused the spawn.
+type offer struct {
+	lo, hi   int
+	at       time.Time
+	admitted bool
+}
+
+// newOpenLoopRig stands up the rig with the server printing to out.
+// One frame per message keeps capacity accounting honest, and
+// admission plus a 150 ms op deadline are the overload plane under
+// test. A non-nil intro turns telemetry and that introspection plane
+// on.
+func newOpenLoopRig(out io.Writer, intro *node.IntrospectConfig) (*openLoopRig, error) {
+	cfg := core.ClusterConfig{
+		Nodes: 2,
+		Link:  openLoopLink,
+		Batch: node.BatchConfig{Disable: true},
+		// The link is loss-free, so retransmits can only ever be
+		// spurious (acks queueing behind data); keep the timer above
+		// any plausible ack delay so the wire carries fresh work.
+		Reliability: &transport.ReliableConfig{RetransmitTimeout: 400 * time.Millisecond},
+		Admission:   &admission.Config{},
+		OpDeadline:  150 * time.Millisecond,
+	}
+	if intro != nil {
+		cfg.Telemetry = &telemetry.Config{}
+		cfg.Introspection = intro
+	}
+	cl, err := core.NewCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := cl.Submit(0, "counter", e15Server, out); err != nil {
+		cl.Stop()
+		return nil, err
+	}
+	return &openLoopRig{cl: cl}, nil
+}
+
+// drive offers mult × wire capacity open-loop: a fresh sender site
+// every tick, whatever the cluster is doing, until dur elapses or stop
+// (if non-nil) reports true after an offer. A spawn the admission gate
+// refuses is NOT retried — open loop means the work is simply lost,
+// and must show up in the shed accounting.
+func (r *openLoopRig) drive(mult float64, dur time.Duration, stop func() bool) error {
+	const tick = 20 * time.Millisecond
+	batch := max(int(wireCapacity*mult*tick.Seconds()), 1)
+	start := time.Now()
+	for time.Since(start) < dur {
+		of := offer{lo: r.next, hi: r.next + batch, at: time.Now()}
+		_, err := r.cl.Submit(1, fmt.Sprintf("sender%d", r.senders), e15FloodSrc(of.lo, batch), io.Discard)
+		r.senders++
+		r.next = of.hi
+		if err != nil && !errors.Is(err, admission.ErrOverloaded) {
+			return err
+		}
+		of.admitted = err == nil
+		r.offers = append(r.offers, of)
+		if stop != nil && stop() {
+			return nil
+		}
+		time.Sleep(tick)
+	}
+	return nil
+}
+
 // e15FloodSrc is one open-loop batch: ids [lo, lo+n).
 func e15FloodSrc(lo, n int) string {
 	var b strings.Builder
@@ -173,68 +258,29 @@ func e15FloodSrc(lo, n int) string {
 	return b.String()
 }
 
-const e15Server = `def Count(db) = db?(c) = (println("msg", c) | Count[db]) in export new db Count[db]`
-
-// e15Drive offers rate msgs/s open-loop for the given duration and
-// reports what the overload plane did with it.
-func e15Drive(link transport.LinkModel, rate float64, duration time.Duration) (*e15Result, error) {
-	cl, err := core.NewCluster(core.ClusterConfig{
-		Nodes: 2,
-		Link:  link,
-		// One frame per message: capacity accounting stays honest.
-		Batch: node.BatchConfig{Disable: true},
-		// The link is loss-free, so retransmits can only ever be
-		// spurious (acks queueing behind data); keep the timer above
-		// any plausible ack delay so the wire carries fresh work.
-		Reliability: &transport.ReliableConfig{RetransmitTimeout: 400 * time.Millisecond},
-		Admission:   &admission.Config{},
-		OpDeadline:  150 * time.Millisecond,
-	})
+// e15Drive offers mult × wire capacity open-loop for the given
+// duration and reports what the overload plane did with it.
+func e15Drive(mult float64, duration time.Duration) (*e15Result, error) {
+	out := &e15CountWriter{}
+	rig, err := newOpenLoopRig(out, nil)
 	if err != nil {
 		return nil, err
 	}
+	cl := rig.cl
 	defer cl.Stop()
 
-	out := &e15CountWriter{}
-	if _, err := cl.Submit(0, "counter", e15Server, out); err != nil {
+	start := time.Now()
+	if err := rig.drive(mult, duration, nil); err != nil {
 		return nil, err
 	}
-
-	// Open-loop generator: a fresh sender site every tick, offering
-	// tick*rate messages no matter what. A spawn the admission gate
-	// refuses is NOT retried — open loop means the work is simply
-	// lost, and must show up in the shed accounting.
-	const tick = 20 * time.Millisecond
-	batch := int(rate * tick.Seconds())
-	if batch < 1 {
-		batch = 1
-	}
-	type offer struct {
-		lo, hi int
-		at     time.Time
-	}
-	var offers []offer // admitted batches only, for p99 offer→apply
-	res := &e15Result{}
-	start := time.Now()
-	next := 0
-	for i := 0; time.Since(start) < duration; i++ {
-		res.offered += batch
-		offeredAt := time.Now()
-		_, err := cl.Submit(1, fmt.Sprintf("sender%d", i), e15FloodSrc(next, batch), io.Discard)
-		next += batch
-		if err != nil {
-			if errors.Is(err, admission.ErrOverloaded) {
-				res.rejected += batch
-			} else {
-				return nil, err
-			}
-		} else {
-			offers = append(offers, offer{lo: next - batch, hi: next, at: offeredAt})
-		}
-		time.Sleep(tick)
-	}
 	loadEnd := time.Now()
-
+	res := &e15Result{}
+	for _, of := range rig.offers {
+		res.offered += of.hi - of.lo
+		if !of.admitted {
+			res.rejected += of.hi - of.lo
+		}
+	}
 	// Quiesce: the backlog is bounded by the deadline, so applied and
 	// shed counters stop moving shortly after the load does.
 	expired := func() uint64 {
@@ -280,7 +326,10 @@ func e15Drive(link transport.LinkModel, rate float64, duration time.Duration) (*
 	// deadline + spawn/compile overhead — still a constant in offered
 	// load, which is the property under test.
 	var lats []time.Duration
-	for _, of := range offers {
+	for _, of := range rig.offers {
+		if !of.admitted {
+			continue
+		}
 		for id := of.lo; id < of.hi; id++ {
 			if at, ok := out.appliedAt(id); ok {
 				lats = append(lats, at.Sub(of.at))

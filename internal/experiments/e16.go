@@ -41,18 +41,14 @@ func e16Client(server string, w, c int) string {
 // The honest caveat the table carries in its notes: on a machine with
 // fewer physical cores than P, GOMAXPROCS over-subscription measures
 // scheduler overhead, not speedup — the `cpus` metric records what
-// the numbers were taken on, and the benchdiff gate compares relative
-// efficiency curves rather than absolute ratios.
+// the numbers were taken on.
 func E16(o Options) (*Table, error) {
 	calls := o.scale(150, 50)
 	sites := o.scale(8, 4)
 	const callers = 8
-	gmps := o.Parallel
-	if len(gmps) == 0 {
-		gmps = []int{1, 2, 4, 8}
-		if o.Quick {
-			gmps = []int{1, 2, 4}
-		}
+	gmps := []int{1, 2, 4, 8}
+	if o.Quick {
+		gmps = gmps[:3]
 	}
 
 	prev := runtime.GOMAXPROCS(0)

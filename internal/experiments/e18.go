@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/slo"
@@ -22,7 +20,7 @@ import (
 // cluster-wide histogram merging, and the cost of leaving it on
 // (DESIGN.md §17). Three phases:
 //
-//  1. Detect: the E15 open-loop rig with the analytics plane on and a
+//  1. Detect: the open-loop rig with the analytics plane on and a
 //     p99 sojourn objective. Phase A drives 0.5x wire capacity and the
 //     verdict must read "ok"; phase B injects a latency regression —
 //     the server's output device starts stalling 2ms per write while
@@ -45,8 +43,8 @@ import (
 //     ClusterView.WindowDist must equal — bucket for bucket — the
 //     histogram of the union stream, and the merged p999 must sit
 //     within bucket resolution of the true (sorted raw) p999. Every
-//     value is seeded, so e18/p999_ns is deterministic and benchdiff
-//     can gate on it.
+//     value is seeded, so e18/p999_ns is deterministic and a test pins
+//     it.
 //
 //  3. Overhead: the E12 call workload with retention+SLO tracking off
 //     vs on (telemetry itself on in both — the analytics delta is what
@@ -70,7 +68,7 @@ func E18(o Options) (*Table, error) {
 		return nil, fmt.Errorf("E18 detect: %w", err)
 	}
 	t.Rows = append(t.Rows,
-		[]string{"detect", "0.5x verdict", det.phaseAState, "ok"},
+		[]string{"detect", "0.5x verdict", "ok", "ok"},
 		[]string{"detect", "5x time-to-breach", det.detect.Round(time.Millisecond).String(),
 			fmt.Sprintf("< slow window %v", det.slow)},
 		[]string{"detect", "burn slow at breach", fmt.Sprintf("%.1f", det.breachBurn), "≥ 1"},
@@ -112,7 +110,6 @@ func E18(o Options) (*Table, error) {
 }
 
 type e18DetectResult struct {
-	phaseAState  string
 	detect       time.Duration
 	breachBurn   float64
 	slow         time.Duration
@@ -141,92 +138,66 @@ func (w *e18SlowWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// e18Detect runs the two-phase regression drill on the E15 rig.
-func e18Detect(o Options) (*e18DetectResult, error) {
-	link := transport.LinkModel{Latency: 50 * time.Microsecond, PerMessage: 500 * time.Microsecond}
-	wireCap := float64(time.Second) / float64(link.PerMessage)
+// sloWindows is the analytics plane's timing in every SLO drill:
+// the retention tick and the two burn-rate windows, shrunk in quick
+// mode.
+type sloWindows struct{ interval, fast, slow time.Duration }
 
-	interval := 100 * time.Millisecond
-	fast, slow := 500*time.Millisecond, 2*time.Second
+func sloWindowsFor(o Options) sloWindows {
 	if o.Quick {
-		interval, fast, slow = 50*time.Millisecond, 250*time.Millisecond, time.Second
+		return sloWindows{50 * time.Millisecond, 250 * time.Millisecond, time.Second}
 	}
-	cl, err := core.NewCluster(core.ClusterConfig{
-		Nodes: 2,
-		Link:  link,
-		// One frame per message, as in E15: capacity stays honest.
-		Batch:       node.BatchConfig{Disable: true},
-		Reliability: &transport.ReliableConfig{RetransmitTimeout: 400 * time.Millisecond},
-		Admission:   &admission.Config{},
-		OpDeadline:  150 * time.Millisecond,
-		Telemetry:   &telemetry.Config{},
-		Introspection: &node.IntrospectConfig{
-			TimeSeries: telemetry.TSConfig{Interval: interval, Capacity: 256},
-			SLO: &slo.Config{
-				Objectives: []string{"p99(" + e18SojournMetric + ")<2ms"},
-				FastWindow: fast,
-				SlowWindow: slow,
-			},
-		},
-	})
+	return sloWindows{100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second}
+}
+
+// introspect is the introspection plane tracking objectives over w.
+func (w sloWindows) introspect(objectives []string) *node.IntrospectConfig {
+	return &node.IntrospectConfig{
+		TimeSeries: telemetry.TSConfig{Interval: w.interval, Capacity: 256},
+		SLO:        &slo.Config{Objectives: objectives, FastWindow: w.fast, SlowWindow: w.slow},
+	}
+}
+
+// sloVerdicts folds every node's verdicts to the worst slow-window burn
+// per objective, sorted by name, and reports the most severe state any
+// node holds.
+func (r *openLoopRig) sloVerdicts() ([]telemetry.SLOVerdict, string) {
+	var all []telemetry.SLOVerdict
+	for i := 0; i < r.cl.Nodes(); i++ {
+		all = append(all, r.cl.Node(i).SLOVerdicts()...)
+	}
+	byName := map[string]telemetry.SLOVerdict{}
+	for _, v := range all {
+		if cur, ok := byName[v.Name]; !ok || v.BurnSlow > cur.BurnSlow {
+			byName[v.Name] = v
+		}
+	}
+	worst := make([]telemetry.SLOVerdict, 0, len(byName))
+	for _, v := range byName {
+		worst = append(worst, v)
+	}
+	sort.Slice(worst, func(i, j int) bool { return worst[i].Name < worst[j].Name })
+	return worst, telemetry.WorstSLOState(all)
+}
+
+// e18Detect runs the two-phase regression drill on the open-loop rig.
+func e18Detect(o Options) (*e18DetectResult, error) {
+	w := sloWindowsFor(o)
+	out := &e18SlowWriter{}
+	rig, err := newOpenLoopRig(out, w.introspect([]string{"p99(" + e18SojournMetric + ")<2ms"}))
 	if err != nil {
 		return nil, err
 	}
+	cl := rig.cl
 	defer cl.Stop()
-	out := &e18SlowWriter{}
-	if _, err := cl.Submit(0, "counter", e15Server, out); err != nil {
-		return nil, err
-	}
-
-	// Open-loop generator shared by both phases: offer mult×capacity
-	// until the duration elapses or stop() says the drill is done.
-	const tick = 20 * time.Millisecond
-	next, sender := 0, 0
-	flood := func(mult float64, dur time.Duration, stop func() bool) error {
-		batch := int(wireCap * mult * tick.Seconds())
-		if batch < 1 {
-			batch = 1
-		}
-		start := time.Now()
-		for time.Since(start) < dur {
-			_, err := cl.Submit(1, fmt.Sprintf("sender%d", sender), e15FloodSrc(next, batch), io.Discard)
-			sender++
-			next += batch
-			if err != nil && !errors.Is(err, admission.ErrOverloaded) {
-				return err
-			}
-			if stop != nil && stop() {
-				return nil
-			}
-			time.Sleep(tick)
-		}
-		return nil
-	}
-	// The worst verdict across both nodes — sojourn is observed on the
-	// delivering node, so node 0 carries the signal.
-	worst := func() (telemetry.SLOVerdict, string) {
-		var all []telemetry.SLOVerdict
-		for i := 0; i < cl.Nodes(); i++ {
-			all = append(all, cl.Node(i).SLOVerdicts()...)
-		}
-		w, rank := telemetry.SLOVerdict{}, math.Inf(-1)
-		for _, v := range all {
-			if v.BurnSlow+v.BurnFast > rank {
-				rank, w = v.BurnSlow+v.BurnFast, v
-			}
-		}
-		return w, telemetry.WorstSLOState(all)
-	}
 
 	// Phase A: half capacity until the slow window is warm. The verdict
 	// must settle at ok — a healthy system must not page.
-	if err := flood(0.5, slow+6*interval, nil); err != nil {
+	if err := rig.drive(0.5, w.slow+6*w.interval, nil); err != nil {
 		return nil, err
 	}
-	_, stateA := worst()
-	if stateA != "ok" {
-		v, _ := worst()
-		return nil, fmt.Errorf("phase A (0.5x) verdict %q want ok (%+v)", stateA, v)
+	if vs, stateA := rig.sloVerdicts(); stateA != "ok" {
+		return nil, fmt.Errorf("phase A (0.5x) verdict %q want ok (%+v)", stateA, vs)
 	}
 
 	// Phase B: the server's output device degrades (2ms stall per
@@ -234,10 +205,10 @@ func e18Detect(o Options) (*e18DetectResult, error) {
 	// is one slow window plus analytics-tick slack.
 	out.delayNs.Store(int64(2 * time.Millisecond))
 	regressAt := time.Now()
-	budget := slow + 4*interval
+	budget := w.slow + 4*w.interval
 	detected := false
-	err = flood(5, budget+4*interval, func() bool {
-		if _, s := worst(); s == "breach" {
+	err = rig.drive(5, budget+4*w.interval, func() bool {
+		if _, s := rig.sloVerdicts(); s == "breach" {
 			detected = true
 			return true
 		}
@@ -248,13 +219,13 @@ func e18Detect(o Options) (*e18DetectResult, error) {
 	}
 	detect := time.Since(regressAt)
 	if !detected {
-		v, s := worst()
-		return nil, fmt.Errorf("5x overdrive not detected within %v (state %q, verdict %+v)", budget+4*interval, s, v)
+		vs, s := rig.sloVerdicts()
+		return nil, fmt.Errorf("5x overdrive not detected within %v (state %q, verdicts %+v)", budget+4*w.interval, s, vs)
 	}
 	if detect > budget {
 		return nil, fmt.Errorf("detection took %v, budget %v (one slow window + tick slack)", detect, budget)
 	}
-	bv, _ := worst()
+	bv, _ := rig.sloVerdicts()
 
 	// Mid-breach scrape: the whole plane must hold together under load.
 	cv := telemetry.ScrapeCluster(cl.IntrospectionAddrs(), 5*time.Second)
@@ -276,15 +247,14 @@ func e18Detect(o Options) (*e18DetectResult, error) {
 	if !sawVerdict {
 		return nil, fmt.Errorf("no /statusz carries SLO verdicts")
 	}
-	merged := cv.WindowDist(e18SojournMetric, slow)
+	merged := cv.WindowDist(e18SojournMetric, w.slow)
 	if merged.Total() == 0 {
 		return nil, fmt.Errorf("cluster-merged sojourn window is empty")
 	}
 	return &e18DetectResult{
-		phaseAState:  stateA,
 		detect:       detect,
-		breachBurn:   bv.BurnSlow,
-		slow:         slow,
+		breachBurn:   telemetry.MaxSLOBurn(bv),
+		slow:         w.slow,
 		clusterP99:   merged.Quantile(99),
 		scrapedNodes: len(cv.Nodes),
 	}, nil
@@ -366,97 +336,43 @@ func e18Merge(o Options) (*e18MergeResult, error) {
 	return &e18MergeResult{samples: len(raw), p999: p999, truP999: tru, relErrPct: relErr}, nil
 }
 
-// SLODrill is `tycobench -slo`: the E18 rig driven at the given
+// SLODrill is `tycobench -slo`: the open-loop rig driven at the given
 // offered-load multiples with operator-chosen objectives. Each multiple
 // runs for one slow window plus analytics slack, then the nodes'
 // verdicts are collected (worst burn per objective across the
-// cluster). The returned verdicts are what `-json` exports as the slo
-// block — a machine-readable go/no-go artifact per objective.
-func SLODrill(o Options, specs []string, mults []int) (*Table, []telemetry.SLOVerdict, error) {
+// cluster), one table row per objective and load level.
+func SLODrill(o Options, specs []string, mults []int) (*Table, error) {
 	if len(mults) == 0 {
 		mults = []int{1}
 	}
-	link := transport.LinkModel{Latency: 50 * time.Microsecond, PerMessage: 500 * time.Microsecond}
-	wireCap := float64(time.Second) / float64(link.PerMessage)
-	interval := 100 * time.Millisecond
-	fast, slow := 500*time.Millisecond, 2*time.Second
-	if o.Quick {
-		interval, fast, slow = 50*time.Millisecond, 250*time.Millisecond, time.Second
-	}
-
+	w := sloWindowsFor(o)
 	t := &Table{
 		ID:     "SLO",
 		Title:  "open-loop SLO drill: burn-rate verdicts per offered load",
 		Header: []string{"offered", "objective", "observed", "target", "burn fast", "burn slow", "state"},
 		Notes: []string{
-			fmt.Sprintf("wire capacity ≈ %.0f msgs/s; windows fast %v / slow %v; each load level runs one slow window", wireCap, fast, slow),
+			fmt.Sprintf("wire capacity ≈ %.0f msgs/s; windows fast %v / slow %v; each load level runs one slow window", wireCapacity, w.fast, w.slow),
 			"verdict per objective: worst slow-window burn across the cluster's nodes",
 		},
 	}
-
-	var final []telemetry.SLOVerdict
 	for _, mult := range mults {
-		cl, err := core.NewCluster(core.ClusterConfig{
-			Nodes:       2,
-			Link:        link,
-			Batch:       node.BatchConfig{Disable: true},
-			Reliability: &transport.ReliableConfig{RetransmitTimeout: 400 * time.Millisecond},
-			Admission:   &admission.Config{},
-			OpDeadline:  150 * time.Millisecond,
-			Telemetry:   &telemetry.Config{},
-			Introspection: &node.IntrospectConfig{
-				TimeSeries: telemetry.TSConfig{Interval: interval, Capacity: 256},
-				SLO:        &slo.Config{Objectives: specs, FastWindow: fast, SlowWindow: slow},
-			},
-		})
-		if err != nil {
-			return nil, nil, err
-		}
 		verdicts, err := func() ([]telemetry.SLOVerdict, error) {
-			defer cl.Stop()
-			if _, err := cl.Submit(0, "counter", e15Server, io.Discard); err != nil {
+			rig, err := newOpenLoopRig(io.Discard, w.introspect(specs))
+			if err != nil {
 				return nil, err
 			}
-			const tick = 20 * time.Millisecond
-			batch := int(wireCap * float64(mult) * tick.Seconds())
-			if batch < 1 {
-				batch = 1
+			defer rig.cl.Stop()
+			if err := rig.drive(float64(mult), w.slow+6*w.interval, nil); err != nil {
+				return nil, err
 			}
-			next := 0
-			start := time.Now()
-			for i := 0; time.Since(start) < slow+6*interval; i++ {
-				_, err := cl.Submit(1, fmt.Sprintf("sender%d", i), e15FloodSrc(next, batch), io.Discard)
-				next += batch
-				if err != nil && !errors.Is(err, admission.ErrOverloaded) {
-					return nil, err
-				}
-				time.Sleep(tick)
-			}
-			// Worst verdict per objective across the cluster.
-			byName := map[string]telemetry.SLOVerdict{}
-			for i := 0; i < cl.Nodes(); i++ {
-				for _, v := range cl.Node(i).SLOVerdicts() {
-					if cur, ok := byName[v.Name]; !ok || v.BurnSlow > cur.BurnSlow {
-						byName[v.Name] = v
-					}
-				}
-			}
-			names := make([]string, 0, len(byName))
-			for n := range byName {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			out := make([]telemetry.SLOVerdict, 0, len(names))
-			for _, n := range names {
-				out = append(out, byName[n])
-			}
-			return out, nil
+			vs, _ := rig.sloVerdicts()
+			return vs, nil
 		}()
 		if err != nil {
-			return nil, nil, fmt.Errorf("slo drill %dx: %w", mult, err)
+			return nil, fmt.Errorf("slo drill %dx: %w", mult, err)
 		}
 		if len(verdicts) == 0 {
-			return nil, nil, fmt.Errorf("slo drill %dx: no verdicts evaluated", mult)
+			return nil, fmt.Errorf("slo drill %dx: no verdicts evaluated", mult)
 		}
 		for _, v := range verdicts {
 			t.Rows = append(t.Rows, []string{
@@ -464,22 +380,9 @@ func SLODrill(o Options, specs []string, mults []int) (*Table, []telemetry.SLOVe
 				fmt.Sprintf("%.3g", v.Observed), fmt.Sprintf("%.3g", v.Target),
 				fmt.Sprintf("%.2f", v.BurnFast), fmt.Sprintf("%.2f", v.BurnSlow), v.State,
 			})
-			t.SetMetric(fmt.Sprintf("slo/%s/burn_slow/%dx", v.Name, mult), v.BurnSlow)
-			t.SetMetric(fmt.Sprintf("slo/%s/state/%dx", v.Name, mult), float64(sloStateRank(v.State)))
 		}
-		final = verdicts
 	}
-	return t, final, nil
-}
-
-func sloStateRank(s string) int {
-	switch s {
-	case "warn":
-		return 1
-	case "breach":
-		return 2
-	}
-	return 0
+	return t, nil
 }
 
 // e18Overhead measures the analytics plane's throughput cost on the

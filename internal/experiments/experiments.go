@@ -10,8 +10,8 @@
 // (§5), and E8 the future-work control services (§7).
 //
 // Every experiment returns a Table that cmd/tycobench prints; the
-// bench_test.go targets at the repository root wrap the same
-// workloads in testing.B form.
+// bench_test.go targets at the repository root wrap the workloads of
+// E1–E8 and E17 in testing.B form.
 package experiments
 
 import (
@@ -26,9 +26,8 @@ import (
 	"repro/internal/transport"
 )
 
-// Table is one experiment's result in printable form. Metrics
-// additionally exposes machine-readable values (cmd/tycobench -json
-// collects them into BENCH_*.json for cross-PR tracking).
+// Table is one experiment's result in printable form. Metrics holds
+// the same results as numbers, keyed "<id>/<name>", for tests to read.
 type Table struct {
 	ID      string
 	Title   string
@@ -93,9 +92,6 @@ type Options struct {
 	// probes) in experiments that honor it; 0 keeps each experiment's
 	// fixed default seed so published tables stay reproducible.
 	Seed int64
-	// Parallel overrides the GOMAXPROCS sweep of the scaling
-	// experiments (E16); nil keeps the default {1, 2, 4, 8}.
-	Parallel []int
 }
 
 // seed returns the experiment's default seed unless Options overrides it.

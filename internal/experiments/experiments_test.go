@@ -8,8 +8,34 @@ import (
 	"repro/internal/experiments"
 )
 
-// TestAllExperimentsQuick runs every experiment at CI scale and sanity
-// checks table shapes. This keeps the harness itself from rotting.
+// quickShapes is each quick-mode table's header and row count, as
+// EXPERIMENTS.md documents them: a sweep that loses a point or a
+// column that goes missing fails here, not in a reader's diff.
+var quickShapes = map[string]struct {
+	header string
+	rows   int
+}{
+	"e1":  {"callers ideal myrinet fastether", 3},
+	"e2":  {"placement rounds total us/round", 5},
+	"e3":  {"program threads instr i/thr mean i/thr p95 reductions Minstr/s Mred/s", 5},
+	"e4":  {"strategy uses code arrivals links total us/use", 7},
+	"e5":  {"measure value", 7},
+	"e6":  {"crunch workers chunks total chunks/s speedup", 6},
+	"e7":  {"payload bytes encode ns decode ns MB/s rt", 6},
+	"e8":  {"measure parameter value", 3},
+	"e9":  {"scenario parameter chunks total chunks/s retransmits dup-drops acks fail-fasts", 3},
+	"e10": {"scenario parameter chunks total resume journal checkpoint bytes chunks/s overhead", 8},
+	"e11": {"link batch msgs/s allocs/msg acks/data", 4},
+	"e12": {"phase config msgs/s overhead traces events verified", 4},
+	"e13": {"phase config msgs/s overhead latency", 4},
+	"e14": {"phase n gossip budget", 7},
+	"e15": {"offered msgs applied rejected expired goodput/s p99 drain", 3},
+	"e16": {"gomaxprocs msgs/s efficiency steals", 3}, // GOMAXPROCS 1, 2, 4
+	"e17": {"phase ops elapsed ops/s detail", 3},
+}
+
+// TestAllExperimentsQuick runs every experiment at CI scale and checks
+// each table's shape. This keeps the harness itself from rotting.
 // E18 is left to CI's slo-smoke lane (tycobench -quick -e e18, which
 // fails on the same errors): its burn-rate drill runs on the wall
 // clock, and on a loaded host its verdicts miss their windows.
@@ -24,8 +50,12 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", r.ID, err)
 			}
-			if table.ID == "" || len(table.Header) == 0 || len(table.Rows) == 0 {
-				t.Fatalf("%s: empty table", r.ID)
+			want, ok := quickShapes[r.ID]
+			if !ok {
+				t.Fatalf("%s: no quick shape on record", r.ID)
+			}
+			if got := strings.Join(table.Header, " "); got != want.header || len(table.Rows) != want.rows {
+				t.Fatalf("%s: header %q with %d rows, want %q with %d", r.ID, got, len(table.Rows), want.header, want.rows)
 			}
 			for i, row := range table.Rows {
 				if len(row) != len(table.Header) {

@@ -916,11 +916,6 @@ func WithFetchCacheDisabled() SiteOption {
 	return func(c *site.Config) { c.DisableFetchCache = true }
 }
 
-// WithPollInterval sets the site's scheduler slice length.
-func WithPollInterval(k int) SiteOption {
-	return func(c *site.Config) { c.PollInterval = k }
-}
-
 // Site returns a running site by id.
 func (n *Node) Site(id uint32) (*site.Site, bool) {
 	if e := n.dir.load(id); e != nil {

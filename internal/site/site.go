@@ -198,6 +198,10 @@ type Router interface {
 // batch) from starving the VM, and a busy VM from starving the queue.
 const inboxBatch = 64
 
+// sliceThreads is how many threads a turn runs between inbox polls:
+// the paper's "the queue is read periodically by the local TyCOVM".
+const sliceThreads = 8
+
 // Config configures a site.
 type Config struct {
 	Name   string // lexeme identifying the site in source programs
@@ -210,9 +214,6 @@ type Config struct {
 	// DisableFetchCache turns off caching of fetched classes
 	// (ablation for experiment E4).
 	DisableFetchCache bool
-	// PollInterval is how many threads run between incoming-queue
-	// polls; 0 means 8 (the paper's "read periodically").
-	PollInterval int
 	// ImportTimeout bounds name-service resolution; 0 means 30s.
 	ImportTimeout time.Duration
 	// Epoch is the site's incarnation number (0 means 1). A supervised
@@ -466,9 +467,6 @@ type pendingImport struct {
 func New(cfg Config) *Site {
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 8
 	}
 	if cfg.ImportTimeout <= 0 {
 		cfg.ImportTimeout = 30 * time.Second
@@ -909,7 +907,7 @@ func (s *Site) Turn() (res TurnResult) {
 	}
 	s.tel.ObserveInboxDepth(got)
 	// Run a slice of threads.
-	n, err := s.m.RunSlice(s.cfg.PollInterval)
+	n, err := s.m.RunSlice(sliceThreads)
 	if err != nil {
 		return s.stopWith(err)
 	}
